@@ -182,6 +182,8 @@ def spread_exponent(
     times = sorted(set(int(t) for t in checkpoints))
     if not times or times[0] < 1:
         raise ValueError("checkpoints must be positive integers")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     state = initial_state(initial)
     sigmas: list[float] = []
     tails: list[float] = []

@@ -14,6 +14,7 @@ violation.  One-line reasons go to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -204,6 +205,8 @@ def _parse_spinor(raw: Sequence[str] | None) -> tuple[complex, complex]:
         left, right = (complex(part) for part in raw)
     except ValueError:
         raise UsageError(f"cannot parse spinor components {raw!r}") from None
+    if not (cmath.isfinite(left) and cmath.isfinite(right)):
+        raise UsageError(f"initial spinor components must be finite, got {raw!r}")
     nrm = math.sqrt(abs(left) ** 2 + abs(right) ** 2)
     if abs(nrm - 1.0) > 1e-12:
         raise UsageError(f"initial spinor must have unit norm, got norm {nrm!r}")
@@ -234,6 +237,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "approximate" and count < 1:
         raise UsageError(f"--count must be positive, got {count}")
     theta = getattr(ns, "theta", 0.5)
+    if not math.isfinite(theta):
+        raise UsageError(f"--theta must be finite, got {theta!r}")
     if command in ("spectrum", "duality-check", "properties") and alpha.quarter is None:
         raise UsageError(
             f"{command} requires a quarter fraction p/(4q), got {alpha.source_text!r}"
@@ -371,7 +376,6 @@ def _run_duality_check(config: RunConfig) -> tuple[str, int]:
 def _run_properties(config: RunConfig) -> tuple[str, int]:
     report = property_report(config.alpha.quarter)
     gauge = gauge_check(config.alpha.quarter)
-    spec = spectrum(config.alpha.quarter, "CW")
     checks = {
         "alpha_reflection": report.alpha_reflection,
         "conjugation": report.conjugation,
@@ -382,7 +386,7 @@ def _run_properties(config: RunConfig) -> tuple[str, int]:
     payload = {
         "p": report.p,
         "q": report.q,
-        "args": [float(a) for a in spec.args],
+        "args": [float(a) for a in report.spectrum.args],
         "checks": {
             name: {"passed": check.passed, "residual": check.residual}
             for name, check in checks.items()

@@ -42,8 +42,9 @@ _U64 = (1 << 64) - 1
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Largest entry of |M M^H - I|."""
-    m = np.asarray(matrix, dtype=complex)
+    """Largest entry of |M M^H - I|; a real M stays in real arithmetic."""
+    m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     return float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max())
 
 
@@ -189,7 +190,7 @@ class CustomSchedule(CoinSchedule):
             if m.shape != (2, 2):
                 raise ValueError(f"coin at site {n} has shape {m.shape}, want (2, 2)")
             defect = unitarity_defect(m)
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:
                 raise ValueError(
                     f"coin at site {n} is not unitary (defect {defect:.3e})"
                 )

@@ -15,7 +15,7 @@ of the same pair of factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -61,6 +61,11 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
+# |fl(c*c + s*s) - 1| for (c, s) within TRIG_ERROR_BOUND of (cos, sin) of an
+# angle (_check_factors)
+_ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + _gamma(3)
+
+
 def _corner_sign(p: int) -> float:
     # sin(2*pi*(p/(4q))*(-q)) = (-1)^((p+1)/2) for odd p
     return 1.0 if ((p + 1) // 2) % 2 == 0 else -1.0
@@ -82,41 +87,74 @@ def _basis_index(q: int, n: int, chirality: str) -> int:
 
 
 def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
-    """(coin factor, shift factor) as dense 4q x 4q unitaries.
+    """(coin factor, shift factor) as dense real 4q x 4q orthogonal matrices.
 
     Coin entries use exact residue trig, so reflecting blocks carry
     literal zeros.  The shift factor is a permutation matrix whose
-    determinant is exactly -1; the coin factor has determinant 1.
+    determinant is exactly -1; the coin factor has determinant 1
+    (_check_factors proves both).
     """
-    q, p = f.q, f.p
+    q = f.q
     dim = 4 * q
-    coin = np.zeros((dim, dim), dtype=complex)
-    sign = _corner_sign(p)
-    coin[0, 0] = sign
-    coin[dim - 1, dim - 1] = sign
-    for n in range(-q + 1, q):
-        c, s = trig_pair_exact(f, n)
-        i = _basis_index(q, n, "L")
-        coin[i, i] = c
-        coin[i, i + 1] = -s
-        coin[i + 1, i] = s
-        coin[i + 1, i + 1] = c
-    shift = np.zeros((dim, dim), dtype=complex)
-    shift[0, _basis_index(q, -q + 1, "L")] = 1.0
-    shift[dim - 1, _basis_index(q, q - 1, "R")] = 1.0
-    for n in range(-q + 1, q):
-        up = dim - 1 if n + 1 == q else _basis_index(q, n + 1, "L")
-        down = 0 if n - 1 == -q else _basis_index(q, n - 1, "R")
-        shift[_basis_index(q, n, "L"), up] = 1.0
-        shift[_basis_index(q, n, "R"), down] = 1.0
-    det_coin = np.linalg.det(coin)
-    det_shift = np.linalg.det(shift)
-    if abs(det_coin - 1.0) > DET_TOL or abs(det_shift + 1.0) > DET_TOL:
-        raise ConvergenceError(
-            f"determinant check failed for {f}: "
-            f"det(coin)={det_coin}, det(shift)={det_shift}"
-        )
+    trig = np.array([trig_pair_exact(f, n) for n in range(-q + 1, q)])
+    cos, sin = trig[:, 0], trig[:, 1]
+    corner = _corner_sign(f.p)
+    # target[i] is the column of the 1 in shift row i: L rows (odd i) read
+    # i + 2 and R rows (even i) read i - 2, and the two ends reflect
+    target = np.empty(dim, dtype=np.intp)
+    target[1 : dim - 1 : 2] = np.arange(3, dim + 1, 2)
+    target[2 : dim - 1 : 2] = np.arange(0, dim - 3, 2)
+    target[0], target[dim - 1] = 1, dim - 2
+    _check_factors(f, corner, cos, sin, target)
+    coin = np.zeros((dim, dim))
+    coin[0, 0] = coin[dim - 1, dim - 1] = corner
+    left = np.arange(1, dim - 1, 2)
+    coin[left, left] = cos
+    coin[left, left + 1] = -sin
+    coin[left + 1, left] = sin
+    coin[left + 1, left + 1] = cos
+    shift = np.zeros((dim, dim))
+    shift[np.arange(dim), target] = 1.0
     return coin, shift
+
+
+def _check_factors(
+    f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndarray, target: np.ndarray
+) -> None:
+    """Prove det(coin) = 1 and det(shift) = -1 with exact O(n) checks.
+
+    The coin is block diagonal, so its determinant is corner**2 times the
+    product of c**2 + s**2 over its rotation blocks [[c, -s], [s, c]].  The
+    corners must be exactly +-1, and every block within TRIG_ERROR_BOUND =
+    E of an exact (cos, sin) pair, for which c**2 + s**2 = 1.  Then
+    |c**2 + s**2 - 1| <= 2 sqrt(2) E + 2 E**2 exactly; evaluating c*c + s*s
+    adds gamma_2 (c**2 + s**2) and the subtraction from 1 is exact
+    (Sterbenz).  _ROTATION_NORM_BOUND = 2 sqrt(2) E + gamma_3 covers all of
+    it: the E**2 terms, gamma_2 (2 sqrt(2) E + 2 E**2) and the roundings of
+    the constant itself are below 1e-30, far inside gamma_3 - gamma_2 > u.
+
+    The shift has one 1 in each row by construction; target[i] is its
+    column.  Every column must be hit exactly once, and following the map
+    from row 0 must visit all 4q rows: a single 4q-cycle is an odd
+    permutation, so its determinant is exactly -1.
+    """
+    deviation = np.abs(cos * cos + sin * sin - 1.0)
+    if abs(corner) != 1.0 or not np.all(deviation <= _ROTATION_NORM_BOUND):
+        raise ConvergenceError(
+            f"coin factor of {f} is not a rotation: corner {corner}, "
+            f"largest |c^2 + s^2 - 1| = {float(deviation.max()):.3e}"
+        )
+    dim = len(target)
+    if not np.array_equal(np.bincount(target, minlength=dim), np.ones(dim, dtype=np.intp)):
+        raise ConvergenceError(f"shift factor of {f} is not a permutation")
+    step = target.tolist()
+    i, length = step[0], 1
+    while i != 0:
+        i, length = step[i], length + 1
+    if length != dim:
+        raise ConvergenceError(
+            f"shift factor of {f} is not a single {dim}-cycle (cycle through 0 has length {length})"
+        )
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -137,6 +175,15 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with ||matrix - U||_2 <= e; with e = 0, of the matrix itself if it is
     exactly normal.
 
+    Real bipartite unitaries, such as the walk operators, are solved on a
+    half-size block (_parity_split): when the nonzero pattern is
+    2-colourable into equal halves E and O, the matrix is [[0, A], [B, 0]]
+    on (E, O), its square is AB on E, and each eigenpair (mu, v) of the
+    real AB gives the two eigenpairs (+-sqrt(mu), (v, +-B v / sqrt(mu))).
+    Every other matrix takes a complex eigensolve of the whole matrix.
+    Either way the checks below run on the whole matrix, so the
+    certificate does not depend on how the pairs were found.
+
     U is normal, so for any v != 0 some eigenvalue of U lies within
     ||U v - lambda v|| / ||v|| of lambda (Bauer-Fike with condition number
     1).  With r~ the float residual of the contract check, n the dimension,
@@ -150,7 +197,10 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       any order, so each row sees k complex products (sqrt(2) gamma_2 each)
       and k - 1 additions; the error is below sqrt(2) gamma_{k+2} |M| |v|,
       whose 2-norm is at most ||M||_abs ||v||, where ||M||_abs =
-      sqrt(max column sum * max row sum of |M|) bounds || |M| ||_2.
+      sqrt(max column sum * max row sum of |M|) bounds || |M| ||_2.  A real
+      matrix times a complex vector is no worse: each product a (x + iy)
+      is two real products, one rounding each, within gamma_1 <= sqrt(2)
+      gamma_2 of |a| |x + iy|.
     - fl(v lambda): one complex product, sqrt(2) gamma_2 |lambda| ||v||.
     - the subtraction, both 2-norms and the quotient are relative roundings
       of r~ / ||v||~, absorbed by gamma_{n+8}, whose slack also covers
@@ -159,24 +209,26 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     This assumes IEEE double arithmetic with standard complex products (not
     the 3M method) and costs O(n^2) on top of the solve.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    split = _parity_split(m)
+    m = m.real.astype(float) if split else m.astype(complex)
     defect = unitarity_defect(m)
-    if defect > UNITARITY_PRE_TOL:
+    if not defect <= UNITARITY_PRE_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     try:
-        values, vectors = np.linalg.eig(m)
+        values, vectors = _split_eig(m, *split) if split else np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     worst = float(residuals.max())
-    if worst > RESIDUAL_TOL:
+    if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL}"
         )
     drift = float(np.abs(np.abs(values) - 1.0).max())
-    if drift > UNIMODULAR_TOL:
+    if not drift <= UNIMODULAR_TOL:
         raise ConvergenceError(
             f"eigenvalue modulus drifted {drift:.3e} from the unit circle"
         )
@@ -189,6 +241,61 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     order = np.argsort(_principal_args(values), kind="stable")
     return values[order], vectors[:, order], radii[order]
+
+
+def _parity_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index arrays (E, O) with m[E][:, E] and m[O][:, O] exactly zero, or None.
+
+    Requires exactly zero imaginary parts and a nonzero pattern, read as
+    an undirected graph, that is 2-colourable into two halves of equal
+    size.  Each connected component is coloured from its lowest index, so
+    a pattern that balances only after flipping some components is
+    declined; declining is always safe.
+    """
+    n = len(m)
+    if n == 0 or n % 2 or (np.iscomplexobj(m) and m.imag.any()):
+        return None
+    rows, cols = np.nonzero(m)
+    if 2 * len(rows) > n * n:  # more than the two off-diagonal blocks hold
+        return None
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    colour = [-1] * n
+    for start in range(n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        pending = [start]
+        while pending:
+            i = pending.pop()
+            for j in neighbours[i]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    pending.append(j)
+                elif colour[j] == colour[i]:
+                    return None
+    odd = np.array(colour, dtype=bool)
+    if 2 * int(odd.sum()) != n:
+        return None
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def _split_eig(
+    m: np.ndarray, even: np.ndarray, odd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real [[0, A], [B, 0]] from the real eigenproblem of AB."""
+    a = m[np.ix_(even, odd)]
+    b = m[np.ix_(odd, even)]
+    mu, w = np.linalg.eig(a @ b)
+    root = np.sqrt(mu.astype(complex))
+    w = w.astype(complex)
+    partner = (b @ w) / root
+    vectors = np.empty((len(m), len(m)), dtype=complex)
+    vectors[even] = np.hstack([w, w])
+    vectors[odd] = np.hstack([partner, -partner])
+    return np.concatenate([root, -root]), vectors
 
 
 def _principal_args(values: np.ndarray) -> np.ndarray:
@@ -259,18 +366,19 @@ def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
     Sorted principal arguments of nearly-equal multisets can differ by
     a cyclic rotation when eigenvalues sit within rounding of the
     -pi/pi seam; a whole cluster may land on either side, so the best
-    alignment over every cyclic shift is taken.  Quadratic in the list
-    length, which stays cheap at the dimensions used here.
+    alignment over every cyclic shift is taken.  All n shifts are
+    compared at once through an n x n gather, O(n^2) in time and memory.
     """
+    a, b = np.asarray(a), np.asarray(b)
     if len(a) != len(b):
         raise ValueError("argument lists differ in length")
-    best = math.inf
-    for roll in range(len(b)):
-        d = np.abs(a - np.roll(b, roll))
-        gap = float(np.minimum(d, 2.0 * np.pi - d).max())
-        if gap < best:
-            best = gap
-    return best
+    n = len(b)
+    # row r is np.roll(b, r)
+    shifted = b[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    d = np.abs(a - shifted)
+    gaps = np.minimum(d, 2.0 * np.pi - d).max(axis=1, initial=-math.inf)
+    # fmin skips a NaN gap, as a scan keeping the first strictly smaller one would
+    return float(np.fmin.reduce(gaps, initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -289,7 +397,8 @@ class PropertyReport:
     one (eigenvalue_gaps).  The simplicity check passes if and only if
     that bound is positive, i.e. the 4q eigenvalue inclusion disks are
     pairwise disjoint, which proves every eigenvalue of the exact
-    operator simple; its residual is the measured gap.
+    operator simple; its residual is the measured gap.  spectrum is the
+    coin-then-shift spectrum the checks were measured on.
     """
 
     p: int
@@ -303,6 +412,7 @@ class PropertyReport:
     det_residual: float
     simple_gap: float
     gap_lower_bound: float
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     def all_passed(self) -> bool:
         return (
@@ -345,6 +455,7 @@ def property_report(f: QuarterFraction) -> PropertyReport:
         det_residual=det_residual,
         simple_gap=gap,
         gap_lower_bound=gap_lower,
+        spectrum=spec,
     )
 
 

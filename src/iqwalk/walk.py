@@ -16,6 +16,7 @@ walk.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -99,6 +100,8 @@ def initial_state(
 ) -> WalkerState:
     """Walker localized at one site with the given chirality spinor."""
     left, right = complex(spinor[0]), complex(spinor[1])
+    if not (cmath.isfinite(left) and cmath.isfinite(right)):
+        raise ValueError(f"spinor components must be finite, got {(left, right)!r}")
     nrm = math.sqrt(abs(left) ** 2 + abs(right) ** 2)
     if abs(nrm - 1.0) > SPINOR_NORM_TOL:
         raise ValueError(f"spinor norm {nrm!r} differs from 1 beyond {SPINOR_NORM_TOL}")
@@ -119,7 +122,7 @@ def _trim(offset: int, amps: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _checked(offset: int, amps: np.ndarray, step_count: int) -> WalkerState:
     nrm = math.sqrt(float(np.sum(_sq_mags(amps))))
-    if abs(nrm - 1.0) > DRIFT_LIMIT:
+    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
         raise NumericalDriftError(
             f"norm drifted to {nrm!r} after step {step_count}"
             f" (|1 - norm| > {DRIFT_LIMIT})"

@@ -5,15 +5,20 @@ primitives rather than the package's own trig or stepping code, so a
 shared bug cannot cancel out.  Walk oracles carry amplitudes as mpmath
 numbers at a fixed working precision (default 30 significant digits)
 and step with the textbook coin-then-shift recurrence.
+
+The numpy references at the end are the plain slow paths that the
+package's fast paths are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 ORACLE_DPS = 30
@@ -179,3 +184,47 @@ def brute_force_quarter_approximants(
         if len(out) >= count:
             break
     return out[:count]
+
+
+_U = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def complex_eigenpairs(matrix):
+    """(values, vectors, radii) from one complex eigensolve of the whole matrix.
+
+    The reference for iqwalk.eigenpairs: the same unitarity pre-check,
+    residual and modulus gates and radius formula, with no structure used.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-10
+    values, vectors = np.linalg.eig(m)
+    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+    assert residuals.max() <= 1e-9
+    assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
+    magnitudes = np.abs(m)
+    abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
+    k = int(np.count_nonzero(m, axis=1).max())
+    product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + np.abs(values))
+    radii = (1.0 + _gamma(len(m) + 8)) * (
+        residuals / np.linalg.norm(vectors, axis=0) + product_error
+    )
+    args = np.angle(values)
+    order = np.argsort(np.where(args == -np.pi, np.pi, args), kind="stable")
+    return values[order], vectors[:, order], radii[order]
+
+
+def circular_arg_distance_loop(a, b) -> float:
+    """Best cyclic alignment of two argument lists, one np.roll per shift."""
+    if len(a) != len(b):
+        raise ValueError("argument lists differ in length")
+    best = math.inf
+    for roll in range(len(b)):
+        d = np.abs(a - np.roll(b, roll))
+        gap = float(np.minimum(d, 2.0 * np.pi - d).max())
+        if gap < best:
+            best = gap
+    return best

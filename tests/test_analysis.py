@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqwalk import (
     CustomSchedule,
@@ -200,3 +202,8 @@ class TestSpreadExponent:
             spread_exponent(RandomSchedule(1), [])
         with pytest.raises(ValueError, match="positive"):
             spread_exponent(RandomSchedule(1), [0, 4])
+
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_theta_is_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            spread_exponent(RandomSchedule(1), [4, 8], theta=theta)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import iqwalk.cli as cli
 from iqwalk import (
@@ -13,6 +15,7 @@ from iqwalk import (
     QuarterFraction,
     RealEnclosure,
     UsageError,
+    spectrum,
 )
 from iqwalk.cli import RunConfig, main, parse_alpha, parse_args
 
@@ -309,6 +312,29 @@ class TestPropertiesCommand:
         assert payload["all_passed"] is False
         assert payload["gap_lower_bound"] < 0.0 < payload["simple_gap"]
 
+    def test_two_eigensolves_per_command(self, capsys, monkeypatch):
+        # one for the spectrum at alpha, one at 1 - alpha
+        real_eig = np.linalg.eig
+        shapes = []
+
+        def spy(m):
+            shapes.append(m.shape)
+            return real_eig(m)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
+        assert code == 0
+        assert shapes == [(10, 10), (10, 10)]
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (3, 19)])
+    def test_args_are_the_spectrum_args(self, capsys, p, q):
+        code, out, _ = run(["properties", "--alpha", f"{p}/{4 * q}"], capsys)
+        assert code == 0
+        text = open(out.strip()).read()
+        args = [float(a) for a in spectrum(QuarterFraction(p, q), "CW").args]
+        expected = {**json.loads(text), "args": args}
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def explode(f):
             raise ConvergenceError("synthetic solver failure")
@@ -350,6 +376,44 @@ class TestSpreadCommand:
         code, _, err = run(["spread", "--alpha", "1/6", "--steps", "4"], capsys)
         assert code == 1
         assert "at least 8" in err
+
+    @given(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999"]))
+    def test_non_finite_theta_is_rejected_at_parse_time(self, theta):
+        with pytest.raises(UsageError, match="--theta must be finite"):
+            parse_args(["spread", "--alpha", "1/6", "--steps", "16", f"--theta={theta}"])
+
+    def test_nan_theta_exits_one_and_writes_nothing(self, capsys, _output_dir):
+        code, out, err = run(
+            ["spread", "--alpha", "1/6", "--steps", "16", "--theta", "nan"], capsys
+        )
+        assert code == 1
+        assert "--theta must be finite" in err
+        assert out == ""
+        assert list(_output_dir.iterdir()) == []
+
+
+NON_FINITE = ["nan", "+nan", "inf", "+inf", "nanj", "infj", "1+nanj", "inf-1j", "0.6-infj", "1e999"]
+
+
+class TestNonFiniteSpinor:
+    @given(
+        st.sampled_from(NON_FINITE),
+        st.sampled_from(["0", "1", "0.6", "0.8j"] + NON_FINITE),
+        st.booleans(),
+    )
+    def test_rejected_at_parse_time(self, bad, other, bad_first):
+        pair = [bad, other] if bad_first else [other, bad]
+        with pytest.raises(UsageError, match="finite"):
+            parse_args(["evolve", "--alpha", "1/12", "--initial", *pair])
+
+    def test_evolve_exits_one(self, capsys, _output_dir):
+        code, out, err = run(
+            ["evolve", "--alpha", "1/12", "--steps", "5", "--initial", "nan", "0"], capsys
+        )
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+        assert list(_output_dir.iterdir()) == []
 
 
 class TestUsageExit:

@@ -186,6 +186,14 @@ class TestCustomSchedule:
         with pytest.raises(ValueError, match="shape"):
             CustomSchedule({0: np.eye(3)})
 
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3))
+    def test_rejects_non_finite_entries(self, bad, index):
+        coin = np.eye(2, dtype=complex)
+        coin.flat[index] = bad
+        # inf * 0 in the unitarity product warns before the check rejects it
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
+            CustomSchedule({0: coin})
+
     def test_stored_coin_is_copied(self):
         coin = np.eye(2, dtype=complex)
         schedule = CustomSchedule({0: coin})

@@ -18,13 +18,21 @@ from iqwalk import (
     eigenvalue_gaps,
     eigenvalues,
     gauge_check,
+    haar_coin,
     property_report,
     spectrum,
     unitarity_defect,
 )
 from iqwalk.exact_trig import TRIG_ERROR_BOUND
-from iqwalk.spectral import OPERATOR_ERROR
-from oracles import EXACT_GAP_3_76, EXACT_GAP_3_80, mp_residuals, mp_walk_operator
+from iqwalk.spectral import OPERATOR_ERROR, _check_factors, _wrap_args
+from oracles import (
+    EXACT_GAP_3_76,
+    EXACT_GAP_3_80,
+    circular_arg_distance_loop,
+    complex_eigenpairs,
+    mp_residuals,
+    mp_walk_operator,
+)
 
 QUARTET = np.array([1.0, 1.0j, -1.0, -1.0j])
 
@@ -75,6 +83,53 @@ class TestBuildMatrices:
             i = 2 * (n + q) - 1
             assert coin[i, i] != 0.0
 
+    def test_determinants_need_no_solve(self, monkeypatch):
+        def explode(_):
+            raise AssertionError("build_matrices called np.linalg.det")
+
+        monkeypatch.setattr(np.linalg, "det", explode)
+        coin, shift = build_matrices(QuarterFraction(3, 5))
+        assert round(float(np.linalg.slogdet(coin)[1]), 12) == 0.0
+        assert np.linalg.slogdet(shift)[0] == -1.0
+
+
+class TestFactorChecks:
+    """_check_factors proves det(coin) = 1 and det(shift) = -1 in O(n)."""
+
+    @staticmethod
+    def factors():
+        # (cos, sin, column of each shift row's 1) read back from 1/12's factors
+        coin, shift = build_matrices(QuarterFraction(1, 3))
+        left = np.arange(1, 11, 2)
+        return coin[left, left], coin[left + 1, left], shift.argmax(axis=1)
+
+    def test_walk_factors_pass(self):
+        _check_factors(QuarterFraction(1, 3), -1.0, *self.factors())
+
+    def test_wrong_cosine_is_rejected(self):
+        cos, sin, target = self.factors()
+        cos[2] += 1e-12
+        with pytest.raises(ConvergenceError, match="not a rotation"):
+            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+
+    def test_inexact_corner_is_rejected(self):
+        with pytest.raises(ConvergenceError, match="corner"):
+            _check_factors(QuarterFraction(1, 3), np.nextafter(-1.0, 0.0), *self.factors())
+
+    def test_two_cycles_are_rejected(self):
+        # swapping two images splits the single 12-cycle into two cycles
+        cos, sin, target = self.factors()
+        target[[0, 5]] = target[[5, 0]]
+        assert sorted(target) == list(range(12))
+        with pytest.raises(ConvergenceError, match="single 12-cycle"):
+            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+
+    def test_repeated_column_is_rejected(self):
+        cos, sin, target = self.factors()
+        target[4] = target[6]
+        with pytest.raises(ConvergenceError, match="not a permutation"):
+            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+
 
 class TestEigenvalues:
     def test_identity(self):
@@ -124,6 +179,113 @@ class TestEigenvalues:
         )
         with pytest.raises(ConvergenceError, match="modulus"):
             eigenvalues(np.eye(4))
+
+
+def walk_operator(p, q, order="CW"):
+    coin, shift = build_matrices(QuarterFraction(p, q))
+    return coin @ shift if order == "CW" else shift @ coin
+
+
+def haar_operator(q, seed=7):
+    # the walk's shift with a Haar U(2) coin at every interior site
+    coin, shift = build_matrices(QuarterFraction(1, q))
+    coin = coin.astype(complex)
+    for i, n in enumerate(range(-q + 1, q)):
+        coin[2 * i + 1 : 2 * i + 3, 2 * i + 1 : 2 * i + 3] = haar_coin(seed, n)
+    return coin @ shift
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes and dtypes of every np.linalg.eig call."""
+    calls = []
+    real_eig = np.linalg.eig
+
+    def spy(m):
+        calls.append((m.shape, m.dtype))
+        return real_eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return calls
+
+
+class TestParitySplit:
+    """Real bipartite unitaries are solved on their half-size block AB."""
+
+    def test_walk_operators_take_the_half_size_real_solve(self, eig_calls):
+        eigenpairs(walk_operator(3, 5, "CW"))
+        eigenpairs(walk_operator(3, 5, "WC"))
+        eigenpairs(walk_operator(3, 5).astype(complex))  # zero imaginary part
+        assert eig_calls == [((10, 10), np.float64)] * 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param(haar_operator(5), id="haar"),
+            pytest.param(np.diag([1.0, -1.0, 1.0, -1.0]), id="diagonal"),
+            pytest.param(np.diag(QUARTET), id="complex diagonal"),
+            pytest.param(np.array([[0.6, -0.8], [0.8, 0.6]]), id="rotation"),
+            pytest.param(np.roll(np.eye(3), 1, axis=1), id="odd dimension"),
+            # even size, zero diagonal, but two 3-cycles: no 2-colouring
+            pytest.param(np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=1)), id="odd cycles"),
+            # a greedy colouring splits these 2 + 2, but the 3-cycle conflicts
+            pytest.param(np.eye(4)[[1, 2, 0, 3]], id="3-cycle and a fixed point"),
+        ],
+    )
+    def test_other_unitaries_take_the_complex_solve(self, eig_calls, matrix):
+        values, _, _ = eigenpairs(matrix)
+        assert eig_calls == [(matrix.shape, np.complex128)]
+        assert len(values) == len(matrix)
+
+    def test_bipartite_permutation_takes_the_half_size_solve(self, eig_calls):
+        values, _, _ = eigenpairs(np.roll(np.eye(4), 1, axis=1))
+        assert eig_calls == [((2, 2), np.float64)]
+        assert np.allclose(values, [-1j, 1.0, 1j, -1.0])
+
+    def test_matches_the_complex_solve_for_every_fraction_up_to_q20(self):
+        # same count, args within 1e-12, and a certified verdict never weaker
+        for f in butterfly_fractions(20):
+            for order in ("CW", "WC"):
+                m = walk_operator(f.p, f.q, order)
+                values, _, radii = eigenpairs(m)
+                ref_values, _, ref_radii = complex_eigenpairs(m)
+                assert len(values) == len(ref_values) == 4 * f.q
+                gap = circular_arg_distance(np.angle(values), np.angle(ref_values))
+                assert gap <= 1e-12, f"{f} {order}: {gap}"
+                _, bound = eigenvalue_gaps(values, radii + OPERATOR_ERROR)
+                _, ref_bound = eigenvalue_gaps(ref_values, ref_radii + OPERATOR_ERROR)
+                assert bound > 0.0 or ref_bound <= 0.0, f"{f} {order}"
+
+    def test_solver_failure_is_wrapped(self, monkeypatch):
+        def explode(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", explode)
+        with pytest.raises(ConvergenceError, match="eigensolver failed"):
+            eigenpairs(walk_operator(1, 2))
+
+    def test_bad_eigenpairs_are_rejected(self, monkeypatch):
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (real_eig(m)[0] * 1j, real_eig(m)[1]))
+        with pytest.raises(ConvergenceError, match="residual"):
+            eigenpairs(walk_operator(1, 2))
+
+    def test_off_circle_eigenvalues_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            np.linalg, "eig", lambda m: (1.5 * np.ones(len(m)), np.zeros_like(m))
+        )
+        with pytest.raises(ConvergenceError, match="modulus"):
+            eigenpairs(walk_operator(1, 2))
+
+    def test_non_unitary_block_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            eigenpairs(2.0 * walk_operator(1, 2))
+
+    def test_nan_entry_is_rejected(self):
+        m = walk_operator(1, 2)
+        m[0, np.flatnonzero(m[0])[0]] = np.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            eigenpairs(m)
 
 
 class TestResidualDisks:
@@ -322,3 +484,31 @@ class TestCircularArgDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             circular_arg_distance(np.zeros(3), np.zeros(4))
+
+    def test_empty_lists(self):
+        assert circular_arg_distance(np.zeros(0), np.zeros(0)) == math.inf
+
+    @given(
+        st.lists(st.floats(min_value=-np.pi, max_value=np.pi), max_size=20),
+        st.lists(st.floats(min_value=0.0, max_value=1e-9), max_size=4),
+        st.lists(st.floats(min_value=0.0, max_value=1e-9), max_size=4),
+        st.lists(st.floats(min_value=-1e-9, max_value=1e-9), min_size=28, max_size=28),
+    )
+    def test_matches_the_roll_loop(self, bulk, below_pi, above_minus_pi, noise):
+        # clusters just inside +pi and -pi; the noise moves some of them
+        # across the seam, so the two sorted lists differ by a rotation
+        points = np.array(
+            bulk + [np.pi - x for x in below_pi] + [-np.pi + x for x in above_minus_pi]
+        )
+        a = np.sort(_wrap_args(points))
+        b = np.sort(_wrap_args(points + np.array(noise[: len(points)])))
+        for x, y in ((a, b), (b, a), (a, np.sort(-a))):
+            assert circular_arg_distance(x, y).hex() == circular_arg_distance_loop(x, y).hex()
+
+    def test_matches_the_roll_loop_on_walk_spectra(self):
+        for f in (QuarterFraction(1, 1), QuarterFraction(3, 20), QuarterFraction(3, 49)):
+            spec = spectrum(f)
+            mirror = spectrum(f.complement())
+            for b in (mirror.args, np.sort(-spec.args), np.roll(spec.args, 3)):
+                fast = circular_arg_distance(spec.args, b)
+                assert fast.hex() == circular_arg_distance_loop(spec.args, b).hex()

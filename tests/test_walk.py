@@ -67,6 +67,18 @@ class TestState:
         with pytest.raises(ValueError, match="norm"):
             initial_state((1.0, 1.0))
 
+    @given(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from(["real", "imag"]),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(allow_nan=True)),
+        st.booleans(),
+    )
+    def test_rejects_non_finite_spinor(self, bad, part, other, bad_first):
+        component = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        spinor = (component, other) if bad_first else (other, component)
+        with pytest.raises(ValueError, match="finite"):
+            initial_state(spinor)
+
     def test_rejects_bad_amplitude_shape(self):
         with pytest.raises(ValueError, match="shape"):
             WalkerState(0, np.zeros((3,)))
@@ -185,6 +197,14 @@ class TestParityAndNorm:
         schedule = CustomSchedule({n: stretched for n in range(-2200, 2201)})
         with pytest.raises(NumericalDriftError, match="norm drifted"):
             evolve(DEFAULT_SPINOR, schedule, 2100)
+
+    def test_nan_amplitudes_trip_the_drift_check(self):
+        class NanSchedule(RandomSchedule):
+            def _build_coin(self, n):
+                return np.full((2, 2), np.nan, dtype=complex)
+
+        with pytest.raises(NumericalDriftError, match="nan"):
+            evolve(DEFAULT_SPINOR, NanSchedule(0), 1)
 
 
 class TestReversibility:
