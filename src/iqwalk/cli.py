@@ -14,7 +14,6 @@ violation.  One-line reasons go to stderr.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -44,7 +43,7 @@ from .errors import (
 from .exact_trig import QuarterFraction
 from .precision import NAMED_CONSTANTS, RealEnclosure
 from .spectral import butterfly, gauge_check, property_report, spectrum
-from .walk import DEFAULT_SPINOR, distribution, evolve
+from .walk import DEFAULT_SPINOR, distribution, evolve, initial_state
 
 __all__ = ["RunConfig", "parse_args", "execute", "main"]
 
@@ -88,17 +87,10 @@ def parse_alpha(text: str) -> ParsedAlpha:
         if den <= 0 or num <= 0:
             raise UsageError(f"alpha must be a positive fraction, got {text!r}")
         if den % 4 == 0:
-            q = den // 4
-            if num % 2 == 0:
-                raise UsageError(
-                    f"alpha {text!r}: numerator of p/(4q) must be odd, got p={num}"
-                )
-            if math.gcd(num, q) != 1:
-                raise UsageError(
-                    f"alpha {text!r}: p and q must be coprime, "
-                    f"got p={num}, q={q} with gcd {math.gcd(num, q)}"
-                )
-            f = QuarterFraction(num, q)
+            try:
+                f = QuarterFraction(num, den // 4)
+            except ValueError as exc:
+                raise UsageError(f"alpha {text!r}: {exc}") from None
             return ParsedAlpha(
                 text, f, f, RealEnclosure.from_fraction(f.alpha, text)
             )
@@ -203,13 +195,9 @@ def _parse_spinor(raw: Sequence[str] | None) -> tuple[complex, complex]:
         return DEFAULT_SPINOR
     try:
         left, right = (complex(part) for part in raw)
-    except ValueError:
-        raise UsageError(f"cannot parse spinor components {raw!r}") from None
-    if not (cmath.isfinite(left) and cmath.isfinite(right)):
-        raise UsageError(f"initial spinor components must be finite, got {raw!r}")
-    nrm = math.sqrt(abs(left) ** 2 + abs(right) ** 2)
-    if abs(nrm - 1.0) > 1e-12:
-        raise UsageError(f"initial spinor must have unit norm, got norm {nrm!r}")
+        initial_state((left, right))
+    except ValueError as exc:
+        raise UsageError(f"initial spinor {raw!r}: {exc}") from None
     return left, right
 
 
@@ -294,9 +282,11 @@ def _csv_text(config: RunConfig, header: Sequence[str], rows) -> str:
 
 
 def _json_text(config: RunConfig, payload: dict) -> str:
-    return json.dumps(
-        {"meta": _meta(config), **payload}, sort_keys=True, indent=2
-    ) + "\n"
+    body = {"meta": _meta(config), **payload}
+    try:
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity, which JSON cannot hold
+        raise NumericalDriftError(f"{config.command} result is not finite: {exc}") from None
 
 
 def _schedule(config: RunConfig) -> CoinSchedule:
@@ -414,10 +404,11 @@ def _run_spread(config: RunConfig) -> tuple[str, int]:
     estimate = spread_exponent(
         _schedule(config), checkpoints, config.initial, theta=config.theta
     )
+    fit = estimate.fitted_exponent  # NaN, undefined, when sigma stays 0
     payload = {
         "times": list(estimate.times),
         "sigmas": list(estimate.sigmas),
-        "fitted_exponent": estimate.fitted_exponent,
+        "fitted_exponent": None if math.isnan(fit) else fit,
         "theta": estimate.theta,
         "scaled_tail": list(estimate.scaled_tail),
     }

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_trig import QuarterFraction, trig_pair_exact
+from .exact_trig import QuarterFraction, quarter_trig_table
 
 __all__ = [
     "RingState",
@@ -68,13 +68,16 @@ def ring_shift(state: RingState) -> RingState:
     return RingState(np.column_stack([left, right]))
 
 
+def _residues(step: int, q: int, size: int) -> np.ndarray:
+    # step*m mod 4q for m = 0 .. size-1: the trig table entries along the ring
+    return step % (4 * q) * np.arange(size) % (4 * q)
+
+
 def ring_coin(f: QuarterFraction, state: RingState) -> RingState:
     """Sitewise rotation coins on the ring, exact residue trig."""
-    m = state.size
-    cos_vals = np.empty(m)
-    sin_vals = np.empty(m)
-    for site in range(m):
-        cos_vals[site], sin_vals[site] = trig_pair_exact(f, site)
+    cos, sin = quarter_trig_table(f.q)
+    k = _residues(f.p, f.q, state.size)
+    cos_vals, sin_vals = cos[k], sin[k]
     left = state.amplitudes[:, 0]
     right = state.amplitudes[:, 1]
     return RingState(
@@ -88,16 +91,10 @@ def dual_vector(f: QuarterFraction, n: int, chirality: str) -> DualVector:
     """Dual basis vector at dual site n; periodic in n with period 4q."""
     if chirality not in ("L", "R"):
         raise ValueError(f"chirality must be 'L' or 'R', got {chirality!r}")
-    size = 4 * f.q
-    amps = np.zeros((size, 2), dtype=complex)
-    for m in range(size):
-        c, s = trig_pair_exact(f, m * n)
-        if chirality == "L":
-            amps[m, 0] = s
-            amps[m, 1] = c
-        else:
-            amps[m, 0] = c
-            amps[m, 1] = s
+    cos, sin = quarter_trig_table(f.q)
+    k = _residues(f.p * n, f.q, f.modulus)
+    c, s = cos[k], sin[k]
+    amps = np.column_stack([s, c] if chirality == "L" else [c, s]).astype(complex)
     return DualVector(f, n, chirality, amps)
 
 
@@ -122,20 +119,29 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     they are exactly zero.
     """
     size = 4 * f.q
-    duals_left = [dual_vector(f, n, "L").amplitudes for n in range(size)]
-    duals_right = [dual_vector(f, n, "R").amplitudes for n in range(size)]
-    worst_shift = 0.0
-    worst_coin = 0.0
-    for n in range(size):
-        c, s = trig_pair_exact(f, n)
-        shifted_left = ring_shift(RingState(duals_left[n])).amplitudes
-        shifted_right = ring_shift(RingState(duals_right[n])).amplitudes
-        forward = np.abs(shifted_left - (c * duals_left[n] + s * duals_right[n])).max()
-        backward = np.abs(shifted_right - (c * duals_right[n] - s * duals_left[n])).max()
-        worst_shift = max(worst_shift, float(forward), float(backward))
-        coined_left = ring_coin(f, RingState(duals_left[n])).amplitudes
-        coined_right = ring_coin(f, RingState(duals_right[n])).amplitudes
-        to_prev = np.abs(coined_left - duals_left[(n - 1) % size]).max()
-        to_next = np.abs(coined_right - duals_right[(n + 1) % size]).max()
-        worst_coin = max(worst_coin, float(to_prev), float(to_next))
-    return DualityResiduals(worst_shift, worst_coin)
+    cos, sin = quarter_trig_table(f.q)
+    k = _residues(f.p, f.q, size)
+    c, s = cos[k], sin[k]
+    # row m, column n: |n, L~> = (sin_mn, cos_mn), |n, R~> = (cos_mn, sin_mn) at site m
+    index = k[:, None] * np.arange(size) % size
+    cos_mn, sin_mn = cos[index], sin[index]
+    # the shift moves L from site m+1 and R from m-1; dual site n's coin scales column n
+    shift_as_coin = max(
+        _gap(np.roll(sin_mn, -1, axis=0), c * sin_mn + s * cos_mn),
+        _gap(np.roll(cos_mn, 1, axis=0), c * cos_mn + s * sin_mn),
+        _gap(np.roll(cos_mn, -1, axis=0), c * cos_mn - s * sin_mn),
+        _gap(np.roll(sin_mn, 1, axis=0), c * sin_mn - s * cos_mn),
+    )
+    # site m's coin scales row m and must give dual site n-1 (L) or n+1 (R)
+    c, s = c[:, None], s[:, None]
+    coin_as_shift = max(
+        _gap(c * sin_mn - s * cos_mn, np.roll(sin_mn, 1, axis=1)),
+        _gap(s * sin_mn + c * cos_mn, np.roll(cos_mn, 1, axis=1)),
+        _gap(c * cos_mn - s * sin_mn, np.roll(cos_mn, -1, axis=1)),
+        _gap(s * cos_mn + c * sin_mn, np.roll(sin_mn, -1, axis=1)),
+    )
+    return DualityResiduals(shift_as_coin, coin_as_shift)
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max())

@@ -11,7 +11,7 @@ class IQWalkError(Exception):
 
 
 class NumericalDriftError(IQWalkError):
-    """State norm drifted further from 1 than the configured threshold."""
+    """State norm drifted further from 1 than its threshold, or a result is not finite."""
 
 
 class EmptySupportError(IQWalkError):

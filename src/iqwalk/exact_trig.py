@@ -16,10 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "TRIG_ERROR_BOUND",
     "QuarterFraction",
     "half_pi_cos_sin",
+    "quarter_trig_table",
     "fraction_cos_sin",
     "trig_pair_exact",
 ]
@@ -120,6 +123,22 @@ def half_pi_cos_sin(k: int, q: int) -> tuple[float, float]:
     if quadrant == 2:
         return -c, -s
     return s, -c
+
+
+def quarter_trig_table(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) arrays of length 4q; entry k is bitwise half_pi_cos_sin(k, q).
+
+    The coin of p/(4q) at site n is entry p*n mod 4q.  The other quadrants
+    are sign flips and swaps of the first; the boundaries are the literal
+    floats, since negating 0.0 would give -0.0.
+    """
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    c, s = map(np.array, zip(*[half_pi_cos_sin(r, q) for r in range(q)]))
+    cos = np.concatenate((c, -s, -c, s))
+    sin = np.concatenate((s, c, -s, -c))
+    cos[::q], sin[::q] = zip(*_BOUNDARY)
+    return cos, sin
 
 
 def fraction_cos_sin(turns: Fraction) -> tuple[float, float]:

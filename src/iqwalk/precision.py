@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 from mpmath import mp
@@ -97,10 +98,16 @@ class RealEnclosure:
     def to_mpf(self, dps: int | None = None) -> mpmath.mpf:
         """Midpoint as an mpmath float at the given working precision."""
         if dps is None:
-            dps = min(self.certified_digits, _MAX_TRIG_DPS) + 10
+            return self._trig_midpoint[1]
         mid = self.midpoint
         with mp.workdps(dps):
             return mp.mpf(mid.numerator) / mid.denominator
+
+    @cached_property
+    def _trig_midpoint(self) -> tuple[int, mpmath.mpf]:
+        # the trig working precision and the midpoint at it, computed once
+        dps = min(self.certified_digits, _MAX_TRIG_DPS) + 10
+        return dps, self.to_mpf(dps)
 
     def cos_sin_two_pi(self, n: int) -> tuple[float, float]:
         """(cos, sin) of 2*pi*x*n, evaluated at payload precision.
@@ -111,10 +118,8 @@ class RealEnclosure:
         the result is within 1 ulp of the true value for any enclosure
         carrying 30+ digits.
         """
-        dps = min(self.certified_digits, _MAX_TRIG_DPS) + 10
-        mid = self.midpoint
+        dps, x = self._trig_midpoint
         with mp.workdps(dps):
-            x = mp.mpf(mid.numerator) / mid.denominator
             c, s = mpmath.cos_sin(2 * mp.pi * x * n)
             return float(c), float(s)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coins import unitarity_defect
 from .errors import ConvergenceError
-from .exact_trig import TRIG_ERROR_BOUND, QuarterFraction, trig_pair_exact
+from .exact_trig import TRIG_ERROR_BOUND, QuarterFraction, quarter_trig_table
 
 __all__ = [
     "Spectrum",
@@ -66,26 +66,6 @@ def _gamma(k: int) -> float:
 _ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + _gamma(3)
 
 
-def _corner_sign(p: int) -> float:
-    # sin(2*pi*(p/(4q))*(-q)) = (-1)^((p+1)/2) for odd p
-    return 1.0 if ((p + 1) // 2) % 2 == 0 else -1.0
-
-
-def _basis_index(q: int, n: int, chirality: str) -> int:
-    if n == -q:
-        if chirality != "R":
-            raise ValueError("left component at -q is outside the restricted basis")
-        return 0
-    if n == q:
-        if chirality != "L":
-            raise ValueError("right component at q is outside the restricted basis")
-        return 4 * q - 1
-    if not -q < n < q:
-        raise ValueError(f"site {n} outside [{-q}, {q}]")
-    base = 2 * (n + q) - 1
-    return base if chirality == "L" else base + 1
-
-
 def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
     """(coin factor, shift factor) as dense real 4q x 4q orthogonal matrices.
 
@@ -96,9 +76,10 @@ def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
     """
     q = f.q
     dim = 4 * q
-    trig = np.array([trig_pair_exact(f, n) for n in range(-q + 1, q)])
-    cos, sin = trig[:, 0], trig[:, 1]
-    corner = _corner_sign(f.p)
+    table_cos, table_sin = quarter_trig_table(q)
+    k = (f.p % dim) * np.arange(-q + 1, q) % dim
+    cos, sin = table_cos[k], table_sin[k]
+    corner = float(table_sin[-f.p * q % dim])  # coin sine at site -q, (-1)^((p+1)/2)
     # target[i] is the column of the 1 in shift row i: L rows (odd i) read
     # i + 2 and R rows (even i) read i - 2, and the two ends reflect
     target = np.empty(dim, dtype=np.intp)
@@ -468,14 +449,9 @@ def gauge_check(f: QuarterFraction) -> float:
     """
     coin, shift = build_matrices(f)
     cw = coin @ shift
-    signs = np.empty(4 * f.q)
-    signs[0] = 1.0 if (-f.q) % 2 == 0 else -1.0
-    signs[-1] = 1.0 if f.q % 2 == 0 else -1.0
-    for n in range(-f.q + 1, f.q):
-        parity = 1.0 if n % 2 == 0 else -1.0
-        i = _basis_index(f.q, n, "L")
-        signs[i] = parity
-        signs[i + 1] = parity
+    # basis index i belongs to site (i + 1) // 2 - q (module docstring)
+    sites = (np.arange(4 * f.q) + 1) // 2 - f.q
+    signs = np.where(sites % 2 == 0, 1.0, -1.0)
     conjugated = signs[:, None] * cw * signs[None, :]
     return float(np.abs(conjugated + cw).max())
 

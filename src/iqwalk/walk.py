@@ -104,7 +104,7 @@ def initial_state(
         raise ValueError(f"spinor components must be finite, got {(left, right)!r}")
     nrm = math.sqrt(abs(left) ** 2 + abs(right) ** 2)
     if abs(nrm - 1.0) > SPINOR_NORM_TOL:
-        raise ValueError(f"spinor norm {nrm!r} differs from 1 beyond {SPINOR_NORM_TOL}")
+        raise ValueError(f"spinor must have unit norm within {SPINOR_NORM_TOL}, got {nrm!r}")
     return WalkerState(site, np.array([[left, right]], dtype=complex), 0)
 
 

@@ -7,7 +7,9 @@ numbers at a fixed working precision (default 30 significant digits)
 and step with the textbook coin-then-shift recurrence.
 
 The numpy references at the end are the plain slow paths that the
-package's fast paths are tested against.
+package's fast paths are tested against.  The per-site loops among them
+call the package's scalar trig_pair_exact on purpose: the fast paths
+must reproduce those values bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from math import gcd
 import mpmath
 import numpy as np
 from mpmath import mp
+
+from iqwalk import RingState, ring_shift, trig_pair_exact
 
 ORACLE_DPS = 30
 
@@ -228,3 +232,72 @@ def circular_arg_distance_loop(a, b) -> float:
         if gap < best:
             best = gap
     return best
+
+
+def ring_coin_loop(f, state):
+    """ring_coin with one trig_pair_exact call per ring site."""
+    m = state.size
+    cos_vals = np.empty(m)
+    sin_vals = np.empty(m)
+    for site in range(m):
+        cos_vals[site], sin_vals[site] = trig_pair_exact(f, site)
+    left = state.amplitudes[:, 0]
+    right = state.amplitudes[:, 1]
+    return RingState(
+        np.column_stack(
+            [cos_vals * left - sin_vals * right, sin_vals * left + cos_vals * right]
+        )
+    )
+
+
+def dual_vector_amplitudes_loop(f, n, chirality):
+    """dual_vector amplitudes with one trig_pair_exact call per ring site."""
+    size = 4 * f.q
+    amps = np.zeros((size, 2), dtype=complex)
+    for m in range(size):
+        c, s = trig_pair_exact(f, m * n)
+        if chirality == "L":
+            amps[m, 0] = s
+            amps[m, 1] = c
+        else:
+            amps[m, 0] = c
+            amps[m, 1] = s
+    return amps
+
+
+def verify_duality_loop(f):
+    """(shift_as_coin, coin_as_shift) with per-dual-site ring_shift and ring coins."""
+    size = 4 * f.q
+    duals_left = [dual_vector_amplitudes_loop(f, n, "L") for n in range(size)]
+    duals_right = [dual_vector_amplitudes_loop(f, n, "R") for n in range(size)]
+    worst_shift = 0.0
+    worst_coin = 0.0
+    for n in range(size):
+        c, s = trig_pair_exact(f, n)
+        shifted_left = ring_shift(RingState(duals_left[n])).amplitudes
+        shifted_right = ring_shift(RingState(duals_right[n])).amplitudes
+        forward = np.abs(shifted_left - (c * duals_left[n] + s * duals_right[n])).max()
+        backward = np.abs(shifted_right - (c * duals_right[n] - s * duals_left[n])).max()
+        worst_shift = max(worst_shift, float(forward), float(backward))
+        coined_left = ring_coin_loop(f, RingState(duals_left[n])).amplitudes
+        coined_right = ring_coin_loop(f, RingState(duals_right[n])).amplitudes
+        to_prev = np.abs(coined_left - duals_left[(n - 1) % size]).max()
+        to_next = np.abs(coined_right - duals_right[(n + 1) % size]).max()
+        worst_coin = max(worst_coin, float(to_prev), float(to_next))
+    return worst_shift, worst_coin
+
+
+def build_trig_loop(f):
+    """(cos, sin) of the coins at sites -q+1 .. q-1, one trig_pair_exact call each."""
+    trig = np.array([trig_pair_exact(f, n) for n in range(-f.q + 1, f.q)])
+    return trig[:, 0], trig[:, 1]
+
+
+def enclosure_cos_sin_uncached(enclosure, n):
+    """RealEnclosure.cos_sin_two_pi with the precision and midpoint rebuilt per call."""
+    dps = min(enclosure.certified_digits, 120) + 10
+    mid = (enclosure.lo + enclosure.hi) / 2
+    with mp.workdps(dps):
+        x = mp.mpf(mid.numerator) / mid.denominator
+        c, s = mpmath.cos_sin(2 * mp.pi * x * n)
+        return float(c), float(s)

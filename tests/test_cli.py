@@ -263,6 +263,10 @@ class TestApproximateCommand:
         assert "rational" in err
 
 
+def _reject_constant(name):
+    raise AssertionError(f"output holds {name}, which is not JSON")
+
+
 class TestDualityCommand:
     def test_pass(self, capsys):
         code, out, _ = run(["duality-check", "--alpha", "3/20"], capsys)
@@ -279,6 +283,17 @@ class TestDualityCommand:
         code, out, _ = run(["duality-check", "--alpha", "1/4"], capsys)
         assert code == 3
         assert json.loads(open(out.strip()).read())["passed"] is False
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_result_is_a_numerical_failure(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(
+            cli, "verify_duality", lambda f: DualityResiduals(value, 0.0)
+        )
+        code, out, err = run(["duality-check", "--alpha", "1/4"], capsys)
+        assert code == 2
+        assert "not finite" in err
+        assert out == ""
 
 
 class TestPropertiesCommand:
@@ -371,6 +386,16 @@ class TestSpreadCommand:
         assert 0.9 <= payload["fitted_exponent"] <= 1.1
         assert payload["times"] == [50, 100, 150, 200, 250, 300, 350, 400]
         assert len(payload["sigmas"]) == 8
+
+    def test_undefined_fit_is_written_as_null(self, capsys):
+        # sigma stays 0 at alpha = 1/2 from (1, 0), so there is no slope to fit
+        code, out, _ = run(
+            ["spread", "--alpha", "1/2", "--initial", "1", "0", "--steps", "8"], capsys
+        )
+        assert code == 0
+        payload = json.loads(open(out.strip()).read(), parse_constant=_reject_constant)
+        assert payload["fitted_exponent"] is None
+        assert payload["sigmas"] == [0.0] * 8
 
     def test_too_few_steps(self, capsys):
         code, _, err = run(["spread", "--alpha", "1/6", "--steps", "4"], capsys)

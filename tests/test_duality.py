@@ -9,11 +9,13 @@ from iqwalk import (
     DualityResiduals,
     QuarterFraction,
     RingState,
+    butterfly_fractions,
     dual_vector,
     ring_coin,
     ring_shift,
     verify_duality,
 )
+from oracles import dual_vector_amplitudes_loop, ring_coin_loop, verify_duality_loop
 
 
 def quarter_fractions(q_max=8):
@@ -113,3 +115,45 @@ class TestVerifyDuality:
 
     def test_residual_container(self):
         assert DualityResiduals(1e-3, 1e-5).max() == 1e-3
+
+
+class TestAgainstLoops:
+    """The table-driven paths against the per-site loops in oracles, bit for bit."""
+
+    def test_every_fraction_up_to_q12(self):
+        for f in butterfly_fractions(12):
+            r = verify_duality(f)
+            assert (r.shift_as_coin, r.coin_as_shift) == verify_duality_loop(f), f"{f}"
+
+    @given(quarter_fractions(q_max=40))
+    @settings(max_examples=8)
+    def test_sampled_fractions_up_to_q40(self, f):
+        r = verify_duality(f)
+        assert (r.shift_as_coin, r.coin_as_shift) == verify_duality_loop(f)
+
+    @given(
+        quarter_fractions(q_max=12),
+        st.integers(min_value=-10**9, max_value=10**9),
+        st.sampled_from("LR"),
+    )
+    def test_dual_vector(self, f, n, chirality):
+        amps = dual_vector(f, n, chirality).amplitudes
+        assert amps.tobytes() == dual_vector_amplitudes_loop(f, n, chirality).tobytes()
+
+    @given(
+        quarter_fractions(q_max=12),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_ring_coin(self, f, size, seed):
+        # ring sizes other than 4q too, with random complex amplitudes
+        rng = np.random.default_rng(seed)
+        state = RingState(rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2)))
+        coined = ring_coin(f, state).amplitudes
+        assert coined.tobytes() == ring_coin_loop(f, state).amplitudes.tobytes()
+
+    def test_large_numerators_do_not_overflow(self):
+        f = QuarterFraction(2**63 + 1, 5)
+        assert verify_duality(f) == verify_duality(QuarterFraction(f.p % 20, 5))
+        amps = dual_vector(f, 3, "L").amplitudes
+        assert amps.tobytes() == dual_vector_amplitudes_loop(f, 3, "L").tobytes()

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iqwalk import QuarterFraction, fraction_cos_sin, half_pi_cos_sin, trig_pair_exact
+from iqwalk.exact_trig import quarter_trig_table
 from oracles import mp_cos_sin
 
 
@@ -141,3 +143,24 @@ class TestFractionTurns:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             half_pi_cos_sin(1, 0)
+
+
+class TestQuarterTrigTable:
+    def test_every_entry_is_half_pi_cos_sin_bitwise(self):
+        # tobytes tells -0.0 from 0.0, which == does not
+        for q in range(1, 201):
+            cos, sin = quarter_trig_table(q)
+            ref = np.array([half_pi_cos_sin(k, q) for k in range(4 * q)])
+            assert cos.tobytes() == np.ascontiguousarray(ref[:, 0]).tobytes(), q
+            assert sin.tobytes() == np.ascontiguousarray(ref[:, 1]).tobytes(), q
+
+    @given(quarter_fractions(), st.integers(min_value=-10**6, max_value=10**6))
+    def test_one_table_serves_a_fraction_and_its_mirror(self, f, n):
+        cos, sin = quarter_trig_table(f.q)
+        for g in (f, f.canonical().complement()):
+            k = g.p * n % g.modulus
+            assert (cos[k], sin[k]) == trig_pair_exact(g, n)
+
+    def test_rejects_non_positive_q(self):
+        with pytest.raises(ValueError, match="positive"):
+            quarter_trig_table(0)

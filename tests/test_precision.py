@@ -12,7 +12,7 @@ from iqwalk import (
     pi_half,
     sqrt2_minus_one,
 )
-from oracles import mp_cos_sin
+from oracles import enclosure_cos_sin_uncached, mp_cos_sin
 
 
 class TestNamedConstants:
@@ -121,3 +121,18 @@ class TestTrig:
 
     def test_site_zero_is_exact(self):
         assert pi_half(40).cos_sin_two_pi(0) == (1.0, 0.0)
+
+
+class TestTrigMidpointOnce:
+    @pytest.mark.parametrize("name", sorted(NAMED_CONSTANTS))
+    def test_coins_equal_the_uncached_evaluation_bitwise(self, name):
+        for enclosure in (NAMED_CONSTANTS[name](40), NAMED_CONSTANTS[name](40).fractional_part()):
+            for n in range(-64, 65):
+                got = enclosure.cos_sin_two_pi(n)
+                want = enclosure_cos_sin_uncached(enclosure, n)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (name, n)
+
+    def test_default_to_mpf_is_the_trig_midpoint(self):
+        enclosure = golden_mean(40)
+        dps = min(enclosure.certified_digits, 120) + 10
+        assert enclosure.to_mpf() == enclosure.to_mpf(dps)

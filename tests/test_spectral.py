@@ -21,6 +21,7 @@ from iqwalk import (
     haar_coin,
     property_report,
     spectrum,
+    trig_pair_exact,
     unitarity_defect,
 )
 from iqwalk.exact_trig import TRIG_ERROR_BOUND
@@ -28,6 +29,7 @@ from iqwalk.spectral import OPERATOR_ERROR, _check_factors, _wrap_args
 from oracles import (
     EXACT_GAP_3_76,
     EXACT_GAP_3_80,
+    build_trig_loop,
     circular_arg_distance_loop,
     complex_eigenpairs,
     mp_residuals,
@@ -82,6 +84,17 @@ class TestBuildMatrices:
         for n in range(-q + 1, q):
             i = 2 * (n + q) - 1
             assert coin[i, i] != 0.0
+
+    def test_coin_matches_the_per_site_loop_bitwise(self):
+        for f in butterfly_fractions(20):
+            coin, _ = build_matrices(f)
+            cos, sin = build_trig_loop(f)
+            expected = np.zeros_like(coin)
+            expected[0, 0] = expected[-1, -1] = trig_pair_exact(f, -f.q)[1]
+            for j in range(2 * f.q - 1):
+                i = 2 * j + 1
+                expected[i : i + 2, i : i + 2] = [[cos[j], -sin[j]], [sin[j], cos[j]]]
+            assert coin.tobytes() == expected.tobytes(), f"{f}"
 
     def test_determinants_need_no_solve(self, monkeypatch):
         def explode(_):
