@@ -53,12 +53,10 @@ def leaked_probability(state: WalkerState, interval: tuple[int, int]) -> float:
     interval raises LeakageError even if its probability underflows.
     """
     lo, hi = interval
-    outside_rows = [
-        i for i, n in enumerate(state.sites) if n < lo or n > hi
-    ]
-    if not outside_rows:
-        return 0.0
-    outside = state.amplitudes[outside_rows]
+    amps = state.amplitudes
+    below = amps[: max(0, min(lo - state.offset, len(amps)))]
+    above = amps[max(0, hi + 1 - state.offset) :]
+    outside = np.concatenate((below, above))
     if np.any(outside != 0):
         worst = float(np.abs(outside).max())
         raise LeakageError(
@@ -96,12 +94,8 @@ def barrier_positions(schedule: CoinSchedule, window: tuple[int, int]) -> list[i
     lo, hi = window
     if hi < lo:
         raise ValueError(f"empty window {window}")
-    out = []
-    for n in range(lo, hi + 1):
-        coin = schedule.coin_at(n)
-        if coin[0, 0] == 0 and coin[1, 1] == 0:
-            out.append(n)
-    return out
+    a, _, _, d = schedule.coin_entries(lo, hi)
+    return (lo + np.flatnonzero((a == 0) & (d == 0))).tolist()
 
 
 @dataclass(frozen=True)
@@ -125,13 +119,14 @@ def near_barriers(
     lo, hi = window
     if hi < lo:
         raise ValueError(f"empty window {window}")
-    hits = []
-    for n in range(lo, hi + 1):
-        coin = schedule.coin_at(n)
-        size = max(abs(coin[0, 0]), abs(coin[1, 1]))
-        if size < threshold:
-            hits.append((n, float(size)))
-    return NearBarrierScan(threshold=threshold, sites=tuple(hits))
+    a, _, _, d = schedule.coin_entries(lo, hi)
+    # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs can differ by an ulp
+    sizes = np.maximum(np.hypot(a.real, a.imag), np.hypot(d.real, d.imag))
+    hits = np.flatnonzero(sizes < threshold)
+    return NearBarrierScan(
+        threshold=threshold,
+        sites=tuple(zip((lo + hits).tolist(), sizes[hits].tolist())),
+    )
 
 
 def recurrence_series(

@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .exact_trig import QuarterFraction, fraction_cos_sin, trig_pair_exact
+from .exact_trig import QuarterFraction, fraction_cos_sin, quarter_trig_table, trig_pair_exact
 from .precision import RealEnclosure
 
 __all__ = [
@@ -84,19 +84,23 @@ def haar_coin(seed: int, n: int) -> np.ndarray:
 
 
 class CoinSchedule:
-    """Base schedule: caches coins per site and serves contiguous windows."""
+    """Base schedule: caches coins per site in a buffer that doubles when outgrown."""
 
     def __init__(self) -> None:
-        self._lo = 0
-        self._entries = np.zeros((0, 4), dtype=complex)  # rows (a, b, c, d)
+        # rows (a, b, c, d); column 0 is site _origin, sites _lo.._hi are built
+        self._origin, self._lo, self._hi = 0, 0, -1
+        self._buffer = self._view = np.zeros((4, 0), dtype=complex)
+        self._table = None  # (cos, sin) over one period of a rational schedule, once built
 
     def _build_coin(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _fill(self, lo: int, stop: int) -> np.ndarray:
+        return np.array([self._build_coin(n).reshape(4) for n in range(lo, stop)]).T
+
     def coin_at(self, n: int) -> np.ndarray:
         """2x2 unitary coin at site n (fresh array, safe to mutate)."""
-        a, b, c, d = self.coin_entries(n, n)
-        return np.array([[a[0], b[0]], [c[0], d[0]]], dtype=complex)
+        return np.array(self.coin_entries(n, n)).reshape(2, 2)
 
     def coin_entries(
         self, lo: int, hi: int
@@ -107,27 +111,25 @@ class CoinSchedule:
         """
         if hi < lo:
             raise ValueError(f"empty site range {lo}..{hi}")
-        self._extend(lo, hi)
-        sl = self._entries[lo - self._lo : hi - self._lo + 1]
-        return sl[:, 0], sl[:, 1], sl[:, 2], sl[:, 3]
+        if not self._lo <= lo <= hi <= self._hi:
+            self._extend(lo, hi)
+        return tuple(self._view[:, lo - self._origin : hi - self._origin + 1])
 
     def _extend(self, lo: int, hi: int) -> None:
-        n_cached = len(self._entries)
-        cur_lo, cur_hi = self._lo, self._lo + n_cached - 1
-        if n_cached and lo >= cur_lo and hi <= cur_hi:
-            return
-        new_lo = min(lo, cur_lo) if n_cached else lo
-        new_hi = max(hi, cur_hi) if n_cached else hi
-        grown = np.zeros((new_hi - new_lo + 1, 4), dtype=complex)
-        if n_cached:
-            grown[cur_lo - new_lo : cur_lo - new_lo + n_cached] = self._entries
-        for n in range(new_lo, cur_lo if n_cached else new_hi + 1):
-            grown[n - new_lo] = self._build_coin(n).reshape(4)
-        if n_cached:
-            for n in range(cur_hi + 1, new_hi + 1):
-                grown[n - new_lo] = self._build_coin(n).reshape(4)
-        self._lo = new_lo
-        self._entries = grown
+        if self._hi < self._lo:
+            self._lo, self._hi = lo, lo - 1
+        lo, hi, old = min(lo, self._lo), max(hi, self._hi), self._origin
+        if lo < old or hi >= old + self._buffer.shape[1]:
+            pad = (hi - lo) // 2 + 1
+            built = self._view[:, self._lo - old : self._hi - old + 1]
+            self._buffer = np.pad(built, ((0, 0), (self._lo - lo + pad, hi - self._hi + pad)))
+            self._origin, self._view = lo - pad, self._buffer.view()
+            self._view.flags.writeable = False
+        if self._table is not None:  # gathers cost no trig: fill the whole buffer
+            lo, hi = self._origin, self._origin + self._buffer.shape[1] - 1
+        for start, stop in ((lo, self._lo), (self._hi + 1, hi + 1)):
+            self._buffer[:, start - self._origin : stop - self._origin] = self._fill(start, stop)
+        self._lo, self._hi = lo, hi
 
 
 class RotationalSchedule(CoinSchedule):
@@ -166,6 +168,24 @@ class RotationalSchedule(CoinSchedule):
     def _build_coin(self, n: int) -> np.ndarray:
         c, s = self.angle_cos_sin(n)
         return rotation_coin(c, s)
+
+    def _fill(self, lo: int, stop: int) -> np.ndarray:
+        # a rational angle depends only on num*n mod period; table entry k is bitwise
+        # the per-site value.  It costs q (or b) trig calls, so it waits for a wide cache.
+        f = self.alpha
+        if isinstance(f, RealEnclosure):
+            return super()._fill(lo, stop)
+        quarter = isinstance(f, QuarterFraction)
+        num, period = (f.p, f.modulus) if quarter else (f.numerator, f.denominator)
+        if self._table is None:
+            if self._hi - self._lo + 1 + stop - lo < (f.q if quarter else period):
+                return super()._fill(lo, stop)
+            self._table = quarter_trig_table(f.q) if quarter else np.array(
+                [fraction_cos_sin(Fraction(k, period)) for k in range(period)]
+            ).T
+        cos, sin = self._table
+        k = num % period * ((lo % period + np.arange(stop - lo)) % period) % period
+        return np.array([cos[k], -sin[k], sin[k], cos[k]])
 
 
 class RandomSchedule(CoinSchedule):

@@ -121,34 +121,31 @@ def _trim(offset: int, amps: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _checked(offset: int, amps: np.ndarray, step_count: int) -> WalkerState:
-    nrm = math.sqrt(float(np.sum(_sq_mags(amps))))
+    nrm = math.sqrt(np.vdot(amps, amps).real)
     if not abs(nrm - 1.0) <= DRIFT_LIMIT:
         raise NumericalDriftError(
             f"norm drifted to {nrm!r} after step {step_count}"
             f" (|1 - norm| > {DRIFT_LIMIT})"
         )
-    offset, amps = _trim(offset, amps)
-    return WalkerState(offset, amps, step_count)
+    return WalkerState(*_trim(offset, amps), step_count)
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
     """One unitary step of the walk; returns a new state."""
     n = len(state.amplitudes)
-    left = state.amplitudes[:, 0]
-    right = state.amplitudes[:, 1]
+    left, right = state.amplitudes.T
     new = np.zeros((n + 2, 2), dtype=complex)
     if order == "WC":
         a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
-        new[0:n, 0] = a * left + b * right  # coin output L lands on n-1
-        new[2 : n + 2, 1] = c * left + d * right  # coin output R lands on n+1
+        out_left, out_right = new[0:n, 0], new[2 : n + 2, 1]  # L lands on n-1, R on n+1
+        np.add(np.multiply(a, left, out=out_left), b * right, out=out_left)
+        np.add(np.multiply(c, left, out=out_right), d * right, out=out_right)
     elif order == "CW":
         a, b, c, d = schedule.coin_entries(state.offset - 1, state.offset + n)
-        shifted_left = np.zeros(n + 2, dtype=complex)
-        shifted_right = np.zeros(n + 2, dtype=complex)
-        shifted_left[0:n] = left  # site m sees L from m+1
-        shifted_right[2 : n + 2] = right  # site m sees R from m-1
-        new[:, 0] = a * shifted_left + b * shifted_right
-        new[:, 1] = c * shifted_left + d * shifted_right
+        shifted_left = np.concatenate((left, [0, 0]))  # site m sees L from m+1
+        shifted_right = np.concatenate(([0, 0], right))  # site m sees R from m-1
+        np.add(np.multiply(a, shifted_left, out=new[:, 0]), b * shifted_right, out=new[:, 0])
+        np.add(np.multiply(c, shifted_left, out=new[:, 1]), d * shifted_right, out=new[:, 1])
     else:
         raise ValueError(f"unknown walk order {order!r}")
     return _checked(state.offset - 1, new, state.step_count + 1)
@@ -159,8 +156,7 @@ def adjoint_step(
 ) -> WalkerState:
     """Inverse of `step` with the same schedule and order."""
     n = len(state.amplitudes)
-    left = state.amplitudes[:, 0]
-    right = state.amplitudes[:, 1]
+    left, right = state.amplitudes.T
     new = np.zeros((n + 2, 2), dtype=complex)
     if order == "WC":
         # (W C)^-1 = C^H W^H: unshift, then inverse coin per site
@@ -174,10 +170,9 @@ def adjoint_step(
     elif order == "CW":
         # (C W)^-1 = W^H C^H: inverse coin per site, then unshift
         a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
-        out_left = np.conj(a) * left + np.conj(c) * right
-        out_right = np.conj(b) * left + np.conj(d) * right
-        new[2 : n + 2, 0] = out_left  # (W^H psi)(m; L) = psi(m-1; L)
-        new[0:n, 1] = out_right
+        # (W^H psi)(m; L) = psi(m-1; L)
+        new[2 : n + 2, 0] = np.conj(a) * left + np.conj(c) * right
+        new[0:n, 1] = np.conj(b) * left + np.conj(d) * right
     else:
         raise ValueError(f"unknown walk order {order!r}")
     return _checked(state.offset - 1, new, state.step_count - 1)

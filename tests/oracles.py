@@ -23,7 +23,15 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from iqwalk import RingState, ring_shift, trig_pair_exact
+from iqwalk import (
+    LeakageError,
+    NumericalDriftError,
+    RingState,
+    WalkerState,
+    ring_shift,
+    trig_pair_exact,
+)
+from iqwalk.walk import DRIFT_LIMIT
 
 ORACLE_DPS = 30
 
@@ -301,3 +309,133 @@ def enclosure_cos_sin_uncached(enclosure, n):
         x = mp.mpf(mid.numerator) / mid.denominator
         c, s = mpmath.cos_sin(2 * mp.pi * x * n)
         return float(c), float(s)
+
+
+class _ExtendCopySchedule:
+    """Coins of a schedule served by a cache copied whole on every growth.
+
+    Rows (a, b, c, d) per site, filled with one _build_coin call per new
+    site; the reference for CoinSchedule's amortised buffer and table fill.
+    """
+
+    def __init__(self, schedule):
+        self._build_coin = schedule._build_coin
+        self._lo = 0
+        self._entries = np.zeros((0, 4), dtype=complex)
+
+    def coin_entries(self, lo, hi):
+        if hi < lo:
+            raise ValueError(f"empty site range {lo}..{hi}")
+        self._extend(lo, hi)
+        sl = self._entries[lo - self._lo : hi - self._lo + 1]
+        return sl[:, 0], sl[:, 1], sl[:, 2], sl[:, 3]
+
+    def _extend(self, lo, hi):
+        n_cached = len(self._entries)
+        cur_lo, cur_hi = self._lo, self._lo + n_cached - 1
+        if n_cached and lo >= cur_lo and hi <= cur_hi:
+            return
+        new_lo = min(lo, cur_lo) if n_cached else lo
+        new_hi = max(hi, cur_hi) if n_cached else hi
+        grown = np.zeros((new_hi - new_lo + 1, 4), dtype=complex)
+        if n_cached:
+            grown[cur_lo - new_lo : cur_lo - new_lo + n_cached] = self._entries
+        for n in range(new_lo, cur_lo if n_cached else new_hi + 1):
+            grown[n - new_lo] = self._build_coin(n).reshape(4)
+        if n_cached:
+            for n in range(cur_hi + 1, new_hi + 1):
+                grown[n - new_lo] = self._build_coin(n).reshape(4)
+        self._lo = new_lo
+        self._entries = grown
+
+
+def extend_copy_schedule(schedule):
+    """A fresh copying cache over `schedule`'s per-site _build_coin."""
+    return _ExtendCopySchedule(schedule)
+
+
+def _trim_loop(offset, amps):
+    lo, hi = 0, len(amps)
+    while hi - lo > 1 and amps[lo, 0] == 0 and amps[lo, 1] == 0:
+        lo += 1
+    while hi - lo > 1 and amps[hi - 1, 0] == 0 and amps[hi - 1, 1] == 0:
+        hi -= 1
+    if lo == 0 and hi == len(amps):
+        return offset, amps
+    return offset + lo, amps[lo:hi].copy()
+
+
+def step_loop(state, schedule, order="WC"):
+    """One walk step through temporaries, norm summed as re^2 + im^2."""
+    n = len(state.amplitudes)
+    left = state.amplitudes[:, 0]
+    right = state.amplitudes[:, 1]
+    new = np.zeros((n + 2, 2), dtype=complex)
+    if order == "WC":
+        a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
+        new[0:n, 0] = a * left + b * right  # coin output L lands on n-1
+        new[2 : n + 2, 1] = c * left + d * right  # coin output R lands on n+1
+    elif order == "CW":
+        a, b, c, d = schedule.coin_entries(state.offset - 1, state.offset + n)
+        shifted_left = np.zeros(n + 2, dtype=complex)
+        shifted_right = np.zeros(n + 2, dtype=complex)
+        shifted_left[0:n] = left  # site m sees L from m+1
+        shifted_right[2 : n + 2] = right  # site m sees R from m-1
+        new[:, 0] = a * shifted_left + b * shifted_right
+        new[:, 1] = c * shifted_left + d * shifted_right
+    else:
+        raise ValueError(f"unknown walk order {order!r}")
+    nrm = math.sqrt(float(np.sum(new.real**2 + new.imag**2)))
+    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
+        raise NumericalDriftError(f"norm drifted to {nrm!r} after step {state.step_count + 1}")
+    offset, amps = _trim_loop(state.offset - 1, new)
+    return WalkerState(offset, amps, state.step_count + 1)
+
+
+def leaked_probability_loop(state, interval):
+    """leaked_probability with one membership test per window site."""
+    lo, hi = interval
+    outside_rows = [i for i, n in enumerate(state.sites) if n < lo or n > hi]
+    if not outside_rows:
+        return 0.0
+    outside = state.amplitudes[outside_rows]
+    if np.any(outside != 0):
+        worst = float(np.abs(outside).max())
+        raise LeakageError(
+            f"amplitude {worst!r} escaped [{lo}, {hi}] at step {state.step_count}"
+        )
+    return 0.0
+
+
+def barrier_positions_loop(schedule, window):
+    """barrier_positions with one coin_at call per site."""
+    lo, hi = window
+    out = []
+    for n in range(lo, hi + 1):
+        coin = schedule.coin_at(n)
+        if coin[0, 0] == 0 and coin[1, 1] == 0:
+            out.append(n)
+    return out
+
+
+def near_barriers_loop(schedule, window, threshold=1e-2):
+    """near_barriers sites with one coin_at call per site."""
+    lo, hi = window
+    hits = []
+    for n in range(lo, hi + 1):
+        coin = schedule.coin_at(n)
+        size = max(abs(coin[0, 0]), abs(coin[1, 1]))
+        if size < threshold:
+            hits.append((n, float(size)))
+    return tuple(hits)
+
+
+def recurrence_series_loop(schedule, t_max, initial, order="WC"):
+    """recurrence_series stepped with step_loop over a copying cache."""
+    cache = extend_copy_schedule(schedule)
+    state = WalkerState(0, np.array([initial], dtype=complex))
+    series = [(0, state.probability(0))]
+    for t in range(1, t_max + 1):
+        state = step_loop(state, cache, order)
+        series.append((t, state.probability(0)))
+    return series

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqwalk import (
@@ -18,6 +18,7 @@ from iqwalk import (
     finite_support_verify,
     golden_mean,
     leaked_probability,
+    moment_stats,
     near_barriers,
     origin_probability,
     pi_half,
@@ -26,7 +27,15 @@ from iqwalk import (
     spread_exponent,
     support,
 )
-from oracles import mp_origin_series
+from oracles import (
+    barrier_positions_loop,
+    extend_copy_schedule,
+    leaked_probability_loop,
+    mp_origin_series,
+    near_barriers_loop,
+    recurrence_series_loop,
+    step_loop,
+)
 
 DYADIC_SPINOR = (0.5 + 0.5j, 0.5 - 0.5j)
 
@@ -207,3 +216,70 @@ class TestSpreadExponent:
     def test_non_finite_theta_is_rejected(self, theta):
         with pytest.raises(ValueError, match="theta must be finite"):
             spread_exponent(RandomSchedule(1), [4, 8], theta=theta)
+
+
+def _leak_outcome(fn, state, interval):
+    try:
+        return fn(state, interval)
+    except LeakageError as exc:
+        return str(exc)
+
+
+class TestAgainstLoops:
+    """The array paths against the per-site loops kept in oracles."""
+
+    @given(
+        st.integers(-6, 6),
+        st.integers(1, 12),
+        st.integers(-10, 10),
+        st.integers(-10, 10),
+        st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.5j, -2.0]), min_size=2, max_size=24),
+    )
+    def test_leaked_probability(self, offset, size, lo, hi, values):
+        amps = np.resize(np.array(values, dtype=complex), 2 * size).reshape(size, 2)
+        state = WalkerState(offset, amps, 3)
+        expect = _leak_outcome(leaked_probability_loop, state, (lo, hi))
+        assert _leak_outcome(leaked_probability, state, (lo, hi)) == expect
+
+    SCHEDULES = {
+        "1/12": lambda: RotationalSchedule(QuarterFraction(1, 3)),
+        "3/20": lambda: RotationalSchedule(QuarterFraction(3, 5)),
+        "2/7": lambda: RotationalSchedule(Fraction(2, 7)),
+        "golden": lambda: RotationalSchedule(golden_mean(40)),
+        "1/2": lambda: RotationalSchedule(Fraction(1, 2)),
+        "haar": lambda: RandomSchedule(4),
+        "custom": lambda: CustomSchedule({-7: reflecting_coin(), 2: reflecting_coin(0.3)}),
+    }
+
+    @pytest.mark.parametrize("name", SCHEDULES)
+    @pytest.mark.parametrize("window", [(-40, 40), (3, 3), (-9, -2)])
+    def test_barrier_scans(self, name, window):
+        make = self.SCHEDULES[name]
+        assert barrier_positions(make(), window) == barrier_positions_loop(make(), window)
+        for threshold in (1e-2, 0.3, 1.0):
+            scan = near_barriers(make(), window, threshold)
+            assert scan.sites == near_barriers_loop(make(), window, threshold)
+
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    @pytest.mark.parametrize("name", ["2/7", "3/20", "haar"])
+    def test_recurrence_series(self, name, order):
+        make = self.SCHEDULES[name]
+        series = recurrence_series(make(), 150, (0.6, 0.8j), order)
+        assert series == recurrence_series_loop(make(), 150, (0.6, 0.8j), order)
+
+    @pytest.mark.parametrize("name", ["2/7", "golden", "haar"])
+    def test_spread_exponent(self, name):
+        make = self.SCHEDULES[name]
+        times = [10, 25, 60, 120]
+        est = spread_exponent(make(), times, (0.6, 0.8j), theta=0.4)
+        cache = extend_copy_schedule(make())
+        state = WalkerState(0, np.array([(0.6, 0.8j)], dtype=complex))
+        sigmas, tails = [], []
+        for t in range(1, times[-1] + 1):
+            state = step_loop(state, cache)
+            if t in times:
+                stats = moment_stats(state)
+                sigmas.append(stats.std_dev)
+                tails.append(stats.abs_moments[1] / t**0.4)
+        assert est.sigmas == tuple(sigmas)
+        assert est.scaled_tail == tuple(tails)

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from iqwalk import (
@@ -12,13 +13,18 @@ from iqwalk import (
     RandomSchedule,
     RealEnclosure,
     RotationalSchedule,
+    evolve,
+    fraction_cos_sin,
     golden_mean,
     haar_coin,
     pi_half,
     reflecting_coin,
     rotation_coin,
+    trig_pair_exact,
     unitarity_defect,
 )
+from iqwalk import exact_trig
+from iqwalk.walk import DEFAULT_SPINOR
 
 UNIT = 1e-12
 
@@ -199,3 +205,115 @@ class TestCustomSchedule:
         schedule = CustomSchedule({0: coin})
         coin[0, 0] = 5.0
         assert schedule.coin_at(0)[0, 0] == 1.0
+
+
+class CountingSchedule(RandomSchedule):
+    """Haar schedule that counts coin builds per site and cache reallocations."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.built = Counter()
+        self.reallocations = 0
+        self._last = None
+
+    def _build_coin(self, n):
+        self.built[n] += 1
+        return super()._build_coin(n)
+
+    def coin_entries(self, lo, hi):
+        entries = super().coin_entries(lo, hi)
+        if self._last is not None and not np.shares_memory(self._last, entries[0]):
+            self.reallocations += 1
+        self._last = entries[0]
+        return entries
+
+
+class TestAmortisedCache:
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_unconfined_walk_builds_each_site_once(self, order):
+        steps = 1000
+        schedule = CountingSchedule(5)
+        evolve(DEFAULT_SPINOR, schedule, steps, order)
+        lo, hi = min(schedule.built), max(schedule.built)
+        assert lo <= -(steps - 1) and hi >= steps - 1
+        assert schedule.built == Counter(range(lo, hi + 1))
+        assert 1 <= schedule.reallocations <= math.log2(steps) + 2
+
+    def test_windows_are_read_only(self):
+        schedule = RotationalSchedule(Fraction(2, 7))
+        for entries in (schedule.coin_entries(-3, 3), schedule.coin_entries(-40, 50)):
+            for row in entries:
+                with pytest.raises(ValueError):
+                    row[0] = 1.0
+
+    def test_disjoint_requests_fill_the_gap_once(self):
+        schedule = CountingSchedule(8)
+        schedule.coin_entries(30, 31)
+        assert schedule.built == Counter([30, 31])
+        schedule.coin_entries(-30, -29)
+        schedule.coin_entries(-5, 5)
+        assert schedule.built == Counter(range(-30, 32))
+
+
+def _entry_bytes(cos, sin):
+    return np.array([cos, -sin, sin, cos]).astype(complex).tobytes()
+
+
+class TestPeriodTables:
+    """Coins gathered from one period table equal the per-site trig, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(2, 7), Fraction(7, 5), Fraction(13, 10), Fraction(-2, 9), 3]
+    )
+    def test_fraction_gather_is_per_site_trig(self, alpha):
+        sites = range(-10**4, 10**4 + 1)
+        expect = np.array([fraction_cos_sin(Fraction(alpha) * n) for n in sites]).T
+        got = RotationalSchedule(alpha).coin_entries(sites[0], sites[-1])
+        assert np.array(got).tobytes() == _entry_bytes(*expect)
+
+    @given(
+        st.integers(min_value=0, max_value=2**62).map(lambda k: 2 * k + 1),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_quarter_gather_is_trig_pair_exact(self, p, q):
+        assume(math.gcd(p, q) == 1)
+        f = QuarterFraction(p, q)
+        sites = range(-3 * q, 3 * q + 1)
+        expect = np.array([trig_pair_exact(f, n) for n in sites]).T
+        got = RotationalSchedule(f).coin_entries(sites[0], sites[-1])
+        assert np.array(got).tobytes() == _entry_bytes(*expect)
+
+    @pytest.mark.parametrize("p,q", [(2**63 + 1, 5), (2**63 + 1, 7), (2**63 - 1, 3)])
+    def test_huge_numerators(self, p, q):
+        f = QuarterFraction(p, q)
+        sites = range(-5 * q, 5 * q + 1)
+        expect = np.array([trig_pair_exact(f, n) for n in sites]).T
+        got = RotationalSchedule(f).coin_entries(sites[0], sites[-1])
+        assert np.array(got).tobytes() == _entry_bytes(*expect)
+
+
+def _count_trig(monkeypatch):
+    calls = []
+    real = exact_trig.half_pi_cos_sin
+
+    def spy(k, q):
+        calls.append(k)
+        return real(k, q)
+
+    monkeypatch.setattr(exact_trig, "half_pi_cos_sin", spy)
+    return calls
+
+
+class TestTableCost:
+    @pytest.mark.parametrize("alpha", [QuarterFraction(1, 10**9), Fraction(1, 1000003)])
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_short_walk_builds_no_period_table(self, monkeypatch, alpha, order):
+        calls = _count_trig(monkeypatch)
+        evolve(DEFAULT_SPINOR, RotationalSchedule(alpha), 10, order)
+        assert 0 < len(calls) <= 2 * 10 + 1
+
+    @pytest.mark.parametrize("alpha,cost", [(Fraction(2, 7), 7), (QuarterFraction(5, 9), 9)])
+    def test_long_walk_evaluates_at_most_two_periods(self, monkeypatch, alpha, cost):
+        calls = _count_trig(monkeypatch)
+        evolve(DEFAULT_SPINOR, RotationalSchedule(alpha), 500)
+        assert len(calls) <= 2 * cost

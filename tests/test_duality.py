@@ -157,3 +157,20 @@ class TestAgainstLoops:
         assert verify_duality(f) == verify_duality(QuarterFraction(f.p % 20, 5))
         amps = dual_vector(f, 3, "L").amplitudes
         assert amps.tobytes() == dual_vector_amplitudes_loop(f, 3, "L").tobytes()
+
+
+class TestResidualSymmetry:
+    """verify_duality evaluates the shift identity only.  The dual amplitude
+    matrices are symmetric in (m, n), so the coin identity's residuals are
+    the same floats; the loop, which evaluates both, must agree bit for bit."""
+
+    def test_every_fraction_up_to_q12(self):
+        for f in butterfly_fractions(12):
+            shift_as_coin, coin_as_shift = verify_duality_loop(f)
+            assert shift_as_coin == coin_as_shift == verify_duality(f).coin_as_shift, f"{f}"
+
+    @given(quarter_fractions(q_max=40))
+    @settings(max_examples=8)
+    def test_sampled_fractions_up_to_q40(self, f):
+        shift_as_coin, coin_as_shift = verify_duality_loop(f)
+        assert shift_as_coin == coin_as_shift == verify_duality(f).coin_as_shift

@@ -16,6 +16,8 @@ from iqwalk import (
     RotationalSchedule,
     WalkerState,
     adjoint_step,
+    golden_mean,
+    reflecting_coin,
     distribution,
     evolve,
     initial_state,
@@ -25,6 +27,7 @@ from iqwalk import (
     support,
 )
 from iqwalk.walk import DEFAULT_SPINOR
+from oracles import extend_copy_schedule, step_loop
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 # spinor whose component probabilities are exact dyadic floats
@@ -281,3 +284,35 @@ class TestObservables:
 
         state = evolve(DEFAULT_SPINOR, RotationalSchedule(pi_half(40)), 2)
         assert abs(origin_probability(state) - mp_origin_series("pi/2", 2)[2]) <= 1e-12
+
+
+DIFFERENTIAL_SCHEDULES = {
+    "2/7": lambda: RotationalSchedule(Fraction(2, 7)),
+    "1/2": lambda: RotationalSchedule(Fraction(1, 2)),
+    "7/5": lambda: RotationalSchedule(Fraction(7, 5)),
+    "5/36": lambda: RotationalSchedule(Fraction(5, 36)),
+    "1/4": lambda: RotationalSchedule(Fraction(1, 4)),
+    "golden": lambda: RotationalSchedule(golden_mean(40)),
+    "haar-17": lambda: RandomSchedule(17),
+    # reflecting coins at 3 and -2 confine the walk, so every step trims
+    "reflect": lambda: CustomSchedule({3: reflecting_coin(), -2: reflecting_coin(0.4)}),
+}
+
+
+class TestAgainstStepLoop:
+    """step over the amortised cache against the temporaries stepper over a
+    cache copied on every growth: equal bytes, zero signs included."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_SCHEDULES)
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 60, 301])
+    def test_final_states_are_bitwise_equal(self, name, order, steps):
+        make = DIFFERENTIAL_SCHEDULES[name]
+        fast = evolve((0.6, 0.8j), make(), steps, order)
+        cache = extend_copy_schedule(make())
+        slow = initial_state((0.6, 0.8j))
+        for _ in range(steps):
+            slow = step_loop(slow, cache, order)
+        assert fast.offset == slow.offset
+        assert fast.step_count == slow.step_count
+        assert fast.amplitudes.tobytes() == slow.amplitudes.tobytes()
