@@ -156,9 +156,14 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with ||matrix - U||_2 <= e; with e = 0, of the matrix itself if it is
     exactly normal.
 
-    Real bipartite unitaries, such as the walk operators, are solved on a
-    half-size block (_parity_split): when the nonzero pattern is
-    2-colourable into equal halves E and O, the matrix is [[0, A], [B, 0]]
+    The walk operators are solved on a half-size block.  In the basis
+    ordering of the module docstring index i sits at site (i + 1) // 2 - q,
+    so the site parity splits the indices into E, those of the parity of
+    the corner site -q, and O, the rest; |E| = |O| for every even
+    dimension.  A walk operator only couples neighbouring sites, so it is
+    exactly zero on E x E and O x O: the parity gauge identity
+    G U G^-1 = -U (gauge_check) is this zero pattern.  A real matrix of
+    even dimension that is exactly zero on both blocks is [[0, A], [B, 0]]
     on (E, O), its square is AB on E, and each eigenpair (mu, v) of the
     real AB gives the two eigenpairs (+-sqrt(mu), (v, +-B v / sqrt(mu))).
     Every other matrix takes a complex eigensolve of the whole matrix.
@@ -193,13 +198,18 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    split = _parity_split(m)
+    odd = _odd_sites(len(m))
+    split = (
+        len(m) % 2 == 0
+        and not (np.iscomplexobj(m) and m.imag.any())
+        and not m[odd[:, None] == odd[None, :]].any()
+    )
     m = m.real.astype(float) if split else m.astype(complex)
     defect = unitarity_defect(m)
     if not defect <= UNITARITY_PRE_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     try:
-        values, vectors = _split_eig(m, *split) if split else np.linalg.eig(m)
+        values, vectors = _split_eig(m, odd) if split else np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
@@ -224,49 +234,14 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values[order], vectors[:, order], radii[order]
 
 
-def _parity_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Index arrays (E, O) with m[E][:, E] and m[O][:, O] exactly zero, or None.
-
-    Requires exactly zero imaginary parts and a nonzero pattern, read as
-    an undirected graph, that is 2-colourable into two halves of equal
-    size.  Each connected component is coloured from its lowest index, so
-    a pattern that balances only after flipping some components is
-    declined; declining is always safe.
-    """
-    n = len(m)
-    if n == 0 or n % 2 or (np.iscomplexobj(m) and m.imag.any()):
-        return None
-    rows, cols = np.nonzero(m)
-    if 2 * len(rows) > n * n:  # more than the two off-diagonal blocks hold
-        return None
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    colour = [-1] * n
-    for start in range(n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        pending = [start]
-        while pending:
-            i = pending.pop()
-            for j in neighbours[i]:
-                if colour[j] < 0:
-                    colour[j] = 1 - colour[i]
-                    pending.append(j)
-                elif colour[j] == colour[i]:
-                    return None
-    odd = np.array(colour, dtype=bool)
-    if 2 * int(odd.sum()) != n:
-        return None
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
+def _odd_sites(n: int) -> np.ndarray:
+    # O of eigenpairs: basis indices whose site parity differs from that of -q
+    return (np.arange(n) + 1) // 2 % 2 == 1
 
 
-def _split_eig(
-    m: np.ndarray, even: np.ndarray, odd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real [[0, A], [B, 0]] from the real eigenproblem of AB."""
+def _split_eig(m: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real [[0, A], [B, 0]] on (~odd, odd) from the real eigenproblem of AB."""
+    even = ~odd
     a = m[np.ix_(even, odd)]
     b = m[np.ix_(odd, even)]
     mu, w = np.linalg.eig(a @ b)
@@ -310,13 +285,19 @@ class Spectrum:
 
 def spectrum(f: QuarterFraction, order: str = "CW") -> Spectrum:
     """Spectrum of the one-step operator for the given factor order."""
+    return _spectrum_of(f, _operator(f, order))
+
+
+def _operator(f: QuarterFraction, order: str) -> np.ndarray:
     coin, shift = build_matrices(f)
     if order == "CW":
-        m = coin @ shift
-    elif order == "WC":
-        m = shift @ coin
-    else:
-        raise ValueError(f"unknown operator order {order!r}")
+        return coin @ shift
+    if order == "WC":
+        return shift @ coin
+    raise ValueError(f"unknown operator order {order!r}")
+
+
+def _spectrum_of(f: QuarterFraction, m: np.ndarray) -> Spectrum:
     values, _, radii = eigenpairs(m)
     return Spectrum(f.p, f.q, values, _principal_args(values), radii + OPERATOR_ERROR)
 
@@ -378,8 +359,10 @@ class PropertyReport:
     one (eigenvalue_gaps).  The simplicity check passes if and only if
     that bound is positive, i.e. the 4q eigenvalue inclusion disks are
     pairwise disjoint, which proves every eigenvalue of the exact
-    operator simple; its residual is the measured gap.  spectrum is the
-    coin-then-shift spectrum the checks were measured on.
+    operator simple; its residual is the measured gap.  gauge_residual is
+    gauge_check's value on the same operator build, and must be exactly
+    0.0.  All checks are measured on the operator coin @ shift ("CW": the
+    shift acts first), whose spectrum is spectrum.
     """
 
     p: int
@@ -393,6 +376,7 @@ class PropertyReport:
     det_residual: float
     simple_gap: float
     gap_lower_bound: float
+    gauge_residual: float
     spectrum: Spectrum = field(repr=False, compare=False)
 
     def all_passed(self) -> bool:
@@ -403,6 +387,7 @@ class PropertyReport:
             and self.simplicity.passed
             and self.quartet.passed
             and self.det_ok
+            and self.gauge_residual == 0.0
         )
 
 
@@ -412,8 +397,9 @@ def _wrap_args(args: np.ndarray) -> np.ndarray:
 
 
 def property_report(f: QuarterFraction) -> PropertyReport:
-    """Measure the five spectral properties of the shift-then-coin operator."""
-    spec = spectrum(f, "CW")
+    """Measure the five spectral properties of coin @ shift ("CW": the shift acts first)."""
+    cw = _operator(f, "CW")
+    spec = _spectrum_of(f, cw)
     mirror = spectrum(f.canonical().complement(), "CW")
     r_reflect = circular_arg_distance(spec.args, mirror.args)
     r_conj = circular_arg_distance(spec.args, np.sort(-spec.args))
@@ -436,6 +422,7 @@ def property_report(f: QuarterFraction) -> PropertyReport:
         det_residual=det_residual,
         simple_gap=gap,
         gap_lower_bound=gap_lower,
+        gauge_residual=_gauge_residual(cw),
         spectrum=spec,
     )
 
@@ -445,15 +432,16 @@ def gauge_check(f: QuarterFraction) -> float:
 
     The operator only couples neighbouring sites, so the gauge flip of
     every nonzero entry is exact and the returned value must be 0.0
-    with no tolerance.
+    with no tolerance.  This is the zero pattern eigenpairs splits on.
     """
-    coin, shift = build_matrices(f)
-    cw = coin @ shift
-    # basis index i belongs to site (i + 1) // 2 - q (module docstring)
-    sites = (np.arange(4 * f.q) + 1) // 2 - f.q
-    signs = np.where(sites % 2 == 0, 1.0, -1.0)
-    conjugated = signs[:, None] * cw * signs[None, :]
-    return float(np.abs(conjugated + cw).max())
+    return _gauge_residual(_operator(f, "CW"))
+
+
+def _gauge_residual(m: np.ndarray) -> float:
+    # the signs are (-1)^(n + q): a global sign leaves G m G^-1 unchanged
+    signs = np.where(_odd_sites(len(m)), -1.0, 1.0)
+    conjugated = signs[:, None] * m * signs[None, :]
+    return float(np.abs(conjugated + m).max())
 
 
 def butterfly_fractions(q_max: int) -> Iterator[QuarterFraction]:

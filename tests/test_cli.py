@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import iqwalk.cli as cli
+import iqwalk.spectral as spectral
 from iqwalk import (
     ConvergenceError,
     DualityResiduals,
@@ -340,6 +341,21 @@ class TestPropertiesCommand:
         code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
         assert shapes == [(10, 10), (10, 10)]
+
+    def test_one_operator_build_per_fraction(self, capsys, monkeypatch):
+        # alpha's build serves its spectrum and the gauge residual; the other is 1 - alpha
+        real_build = spectral.build_matrices
+        built = []
+
+        def spy(f):
+            built.append(f)
+            return real_build(f)
+
+        monkeypatch.setattr(spectral, "build_matrices", spy)
+        code, out, _ = run(["properties", "--alpha", "3/20"], capsys)
+        assert code == 0
+        assert built == [QuarterFraction(3, 5), QuarterFraction(17, 5)]
+        assert json.loads(open(out.strip()).read())["gauge_residual"] == 0.0
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (3, 19)])
     def test_args_are_the_spectrum_args(self, capsys, p, q):

@@ -15,6 +15,7 @@ from iqwalk import (
     ring_shift,
     verify_duality,
 )
+from iqwalk.exact_trig import quarter_trig_table
 from oracles import dual_vector_amplitudes_loop, ring_coin_loop, verify_duality_loop
 
 
@@ -162,7 +163,18 @@ class TestAgainstLoops:
 class TestResidualSymmetry:
     """verify_duality evaluates the shift identity only.  The dual amplitude
     matrices are symmetric in (m, n), so the coin identity's residuals are
-    the same floats; the loop, which evaluates both, must agree bit for bit."""
+    the same floats; the loop, which evaluates both, must agree bit for bit.
+    Of the shift identity's four chirality terms it evaluates two: the point
+    reflection (m, n) -> (-m, -n) maps the other two onto them, because the
+    trig table is even in cos and odd in sin entry for entry."""
+
+    def test_trig_table_is_even_in_cos_and_odd_in_sin(self):
+        for q in range(1, 201):
+            cos, sin = quarter_trig_table(q)
+            k = np.arange(4 * q)
+            assert np.array_equal(cos[-k % (4 * q)], cos[k]), q
+            assert np.array_equal(np.abs(sin[-k % (4 * q)]), np.abs(sin[k])), q
+            assert np.array_equal(sin[-k % (4 * q)], -sin[k]), q
 
     def test_every_fraction_up_to_q12(self):
         for f in butterfly_fractions(12):

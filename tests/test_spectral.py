@@ -223,7 +223,7 @@ def eig_calls(monkeypatch):
 
 
 class TestParitySplit:
-    """Real bipartite unitaries are solved on their half-size block AB."""
+    """Real unitaries zero on the site-parity blocks are solved on their half-size block AB."""
 
     def test_walk_operators_take_the_half_size_real_solve(self, eig_calls):
         eigenpairs(walk_operator(3, 5, "CW"))
@@ -239,10 +239,12 @@ class TestParitySplit:
             pytest.param(np.diag(QUARTET), id="complex diagonal"),
             pytest.param(np.array([[0.6, -0.8], [0.8, 0.6]]), id="rotation"),
             pytest.param(np.roll(np.eye(3), 1, axis=1), id="odd dimension"),
-            # even size, zero diagonal, but two 3-cycles: no 2-colouring
+            # even size, zero diagonal, but index 3 meets index 4, two even sites
             pytest.param(np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=1)), id="odd cycles"),
-            # a greedy colouring splits these 2 + 2, but the 3-cycle conflicts
+            # index 1 meets index 2, two odd sites, and index 3 meets itself
             pytest.param(np.eye(4)[[1, 2, 0, 3]], id="3-cycle and a fixed point"),
+            # bipartite, but index 1 meets index 2, two odd sites
+            pytest.param(np.roll(np.eye(4), 1, axis=1), id="4-cycle off the parity pattern"),
         ],
     )
     def test_other_unitaries_take_the_complex_solve(self, eig_calls, matrix):
@@ -251,9 +253,17 @@ class TestParitySplit:
         assert len(values) == len(matrix)
 
     def test_bipartite_permutation_takes_the_half_size_solve(self, eig_calls):
-        values, _, _ = eigenpairs(np.roll(np.eye(4), 1, axis=1))
+        # swaps 0 <-> 1 and 2 <-> 3: each couples an even-site index to an odd one
+        values, _, _ = eigenpairs(np.eye(4)[[1, 0, 3, 2]])
         assert eig_calls == [((2, 2), np.float64)]
-        assert np.allclose(values, [-1j, 1.0, 1j, -1.0])
+        assert np.allclose(values, [1.0, 1.0, -1.0, -1.0])
+
+    def test_every_spectrum_up_to_q20_takes_one_half_size_solve(self, eig_calls):
+        for f in butterfly_fractions(20):
+            for order in ("CW", "WC"):
+                eig_calls.clear()
+                spectrum(f, order)
+                assert eig_calls == [((2 * f.q, 2 * f.q), np.float64)], f"{f} {order}"
 
     def test_matches_the_complex_solve_for_every_fraction_up_to_q20(self):
         # same count, args within 1e-12, and a certified verdict never weaker
@@ -449,6 +459,12 @@ class TestGauge:
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (7, 9)])
     def test_parity_gauge_flips_the_operator_exactly(self, p, q):
         assert gauge_check(QuarterFraction(p, q)) == 0.0
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (7, 9)])
+    def test_report_carries_the_gauge_residual(self, p, q):
+        report = property_report(QuarterFraction(p, q))
+        assert report.gauge_residual == 0.0
+        assert report.gauge_residual == gauge_check(QuarterFraction(p, q))
 
 
 class TestButterfly:
