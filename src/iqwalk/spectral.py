@@ -14,6 +14,7 @@ of the same pair of factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +63,7 @@ def _gamma(k: int) -> float:
 
 
 # |fl(c*c + s*s) - 1| for (c, s) within TRIG_ERROR_BOUND of (cos, sin) of an
-# angle (_check_factors)
+# angle (_check_coin)
 _ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + _gamma(3)
 
 
@@ -72,37 +73,161 @@ def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
     Coin entries use exact residue trig, so reflecting blocks carry
     literal zeros.  The shift factor is a permutation matrix whose
     determinant is exactly -1; the coin factor has determinant 1
-    (_check_factors proves both).
+    (_check_coin and _check_shift prove both).  The entries are read from
+    the arrays of the operator that spectrum() solves.
     """
-    q = f.q
+    op = _walk_operator(f, "CW")
+    dim = 4 * f.q
+    coin = np.zeros((dim, dim))
+    coin[0, 0] = coin[dim - 1, dim - 1] = op.corner
+    left = np.arange(1, dim - 1, 2)
+    coin[left, left] = op.cos
+    coin[left, left + 1] = -op.sin
+    coin[left + 1, left] = op.sin
+    coin[left + 1, left + 1] = op.cos
+    shift = np.zeros((dim, dim))
+    shift[np.arange(dim), op.frame.target] = 1.0
+    return coin, shift
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """What the 4q basis fixes for every p, built and proven once per q.
+
+    cos and sin are quarter_trig_table(q).  target[i] is the column of the
+    1 in shift row i, a single 4q-cycle.  columns[order] holds the columns
+    of the two entries of each operator row (_WalkOperator.entries).
+    signs is the diagonal of the parity gauge G.  even and odd split the
+    first half of the basis, indices 0 .. 2q - 1, by site parity
+    (eigenpairs), q indices each; A and B are the blocks at even_odd and
+    odd_even.  All arrays are read-only.
+    """
+
+    cos: np.ndarray
+    sin: np.ndarray
+    target: np.ndarray
+    columns: dict[str, np.ndarray]
+    signs: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    even_odd: tuple[np.ndarray, np.ndarray]
+    odd_even: tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(q: int) -> _Frame:
     dim = 4 * q
-    table_cos, table_sin = quarter_trig_table(q)
-    k = (f.p % dim) * np.arange(-q + 1, q) % dim
-    cos, sin = table_cos[k], table_sin[k]
-    corner = float(table_sin[-f.p * q % dim])  # coin sine at site -q, (-1)^((p+1)/2)
-    # target[i] is the column of the 1 in shift row i: L rows (odd i) read
-    # i + 2 and R rows (even i) read i - 2, and the two ends reflect
+    cos, sin = quarter_trig_table(q)
+    # L rows (odd i) of the shift read i + 2 and R rows (even i) read i - 2,
+    # and the two ends reflect
     target = np.empty(dim, dtype=np.intp)
     target[1 : dim - 1 : 2] = np.arange(3, dim + 1, 2)
     target[2 : dim - 1 : 2] = np.arange(0, dim - 3, 2)
     target[0], target[dim - 1] = 1, dim - 2
-    _check_factors(f, corner, cos, sin, target)
-    coin = np.zeros((dim, dim))
-    coin[0, 0] = coin[dim - 1, dim - 1] = corner
-    left = np.arange(1, dim - 1, 2)
-    coin[left, left] = cos
-    coin[left, left + 1] = -sin
-    coin[left + 1, left] = sin
-    coin[left + 1, left + 1] = cos
-    shift = np.zeros((dim, dim))
-    shift[np.arange(dim), target] = 1.0
-    return coin, shift
+    _check_shift(target)
+    # the other index of each coin row's block; a corner is its own
+    partner = np.arange(dim)
+    partner[1 : dim - 1 : 2] += 1
+    partner[2 : dim - 1 : 2] -= 1
+    columns = {
+        "CW": np.stack([target, target[partner]]),
+        "WC": np.stack([target, partner[target]]),
+    }
+    odd_sites = _odd_sites(dim)
+    even, odd = np.flatnonzero(~odd_sites[: 2 * q]), np.flatnonzero(odd_sites[: 2 * q])
+    signs = np.where(odd_sites, -1.0, 1.0)
+    even_odd, odd_even = np.ix_(even, odd), np.ix_(odd, even)
+    for array in (cos, sin, target, *columns.values(), signs, even, odd, *even_odd, *odd_even):
+        array.flags.writeable = False
+    return _Frame(cos, sin, target, columns, signs, even, odd, even_odd, odd_even)
 
 
-def _check_factors(
-    f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndarray, target: np.ndarray
-) -> None:
-    """Prove det(coin) = 1 and det(shift) = -1 with exact O(n) checks.
+@dataclass(frozen=True)
+class _WalkOperator:
+    """coin @ shift ("CW") or shift @ coin ("WC"), held as its two factors.
+
+    The coin is the corner sign and the rotation blocks [[c, -s], [s, c]]
+    of sites -q + 1 .. q - 1 (build_matrices); the shift is frame.target.
+    The 4q x 4q product is never formed: each row of U holds at most two
+    nonzeros, so U is applied in O(n) per vector.
+    """
+
+    order: str
+    corner: float
+    cos: np.ndarray
+    sin: np.ndarray
+    frame: _Frame
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """U v for a (4q, m) array: a gather by the shift targets and a 2 x 2 rotation per site."""
+        target = self.frame.target
+        return self._rotate(v[target]) if self.order == "CW" else self._rotate(v)[target]
+
+    def _rotate(self, v: np.ndarray) -> np.ndarray:
+        # the coin factor times v
+        out = np.empty_like(v)
+        out[0], out[-1] = self.corner * v[0], self.corner * v[-1]
+        c, s = self.cos[:, None], self.sin[:, None]
+        left, right = v[1:-1:2], v[2:-1:2]
+        out[1:-1:2] = c * left - s * right
+        out[2:-1:2] = s * left + c * right
+        return out
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values) of shape (2, 4q): row i of U holds values[:, i] at columns[:, i].
+
+        Coin row i holds its diagonal entry and one more at the other
+        index of its block; a corner row holds a zero on its diagonal
+        instead.  The shift moves the coin's columns (CW) or rows (WC).
+        """
+        dim = len(self.frame.target)
+        diagonal, off = np.empty(dim), np.zeros(dim)
+        diagonal[0] = diagonal[-1] = self.corner
+        diagonal[1:-1:2] = diagonal[2:-1:2] = self.cos
+        off[1:-1:2], off[2:-1:2] = -self.sin, self.sin
+        values = np.stack([diagonal, off])
+        if self.order == "WC":
+            values = values[:, self.frame.target]
+        return self.frame.columns[self.order], values
+
+    def top_rows(self) -> np.ndarray:
+        """Rows 0 .. 2q - 1 of U as a dense (2q, 4q) array."""
+        columns, values = self.entries()
+        half = len(self.frame.target) // 2
+        top = np.zeros((half, 2 * half))
+        # adding into zeros is exact, and a corner's zero lands on its own entry
+        np.add.at(top, (np.arange(half), columns[:, :half]), values[:, :half])
+        return top
+
+    def gauge_residual(self) -> float:
+        """Max of |G U G^-1 + U| over the entries of U; every other entry is 0."""
+        columns, values = self.entries()
+        signs = self.frame.signs
+        return float(np.abs(signs * signs[columns] * values + values).max())
+
+    def abs_norm(self) -> float:
+        # each row and each column of |U| holds |c| and |s| of one block, or a corner's 1
+        return max(1.0, float((np.abs(self.cos) + np.abs(self.sin)).max()))
+
+    def max_row_nonzeros(self) -> int:
+        return 2 if np.any((self.cos != 0.0) & (self.sin != 0.0)) else 1
+
+
+def _walk_operator(f: QuarterFraction, order: str) -> _WalkOperator:
+    if order not in ("CW", "WC"):
+        raise ValueError(f"unknown operator order {order!r}")
+    q = f.q
+    dim = 4 * q
+    frame = _frame(q)
+    k = (f.p % dim) * np.arange(-q + 1, q) % dim
+    corner = float(frame.sin[-f.p * q % dim])  # coin sine at site -q, (-1)^((p+1)/2)
+    op = _WalkOperator(order, corner, frame.cos[k], frame.sin[k], frame)
+    _check_coin(f, op.corner, op.cos, op.sin)
+    return op
+
+
+def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Prove det(coin) = 1 and that coin @ coin^T is I within 1e-10, in O(n).
 
     The coin is block diagonal, so its determinant is corner**2 times the
     product of c**2 + s**2 over its rotation blocks [[c, -s], [s, c]].  The
@@ -114,10 +239,10 @@ def _check_factors(
     it: the E**2 terms, gamma_2 (2 sqrt(2) E + 2 E**2) and the roundings of
     the constant itself are below 1e-30, far inside gamma_3 - gamma_2 > u.
 
-    The shift has one 1 in each row by construction; target[i] is its
-    column.  Every column must be hit exactly once, and following the map
-    from row 0 must visit all 4q rows: a single 4q-cycle is an odd
-    permutation, so its determinant is exactly -1.
+    The same numbers are the unitarity defect of either walk operator.
+    The shift is an exact permutation, so U U^T = C C^T, whose diagonal
+    is fl(c*c + s*s) and whose other entries are fl(c*s) - fl(s*c) = 0
+    exactly; _ROTATION_NORM_BOUND is far below UNITARITY_PRE_TOL.
     """
     deviation = np.abs(cos * cos + sin * sin - 1.0)
     if abs(corner) != 1.0 or not np.all(deviation <= _ROTATION_NORM_BOUND):
@@ -125,16 +250,26 @@ def _check_factors(
             f"coin factor of {f} is not a rotation: corner {corner}, "
             f"largest |c^2 + s^2 - 1| = {float(deviation.max()):.3e}"
         )
+
+
+def _check_shift(target: np.ndarray) -> None:
+    """Prove det(shift) = -1 in O(n).
+
+    The shift has one 1 in each row by construction; target[i] is its
+    column.  Every column must be hit exactly once, and following the map
+    from row 0 must visit all 4q rows: a single 4q-cycle is an odd
+    permutation, so its determinant is exactly -1.
+    """
     dim = len(target)
     if not np.array_equal(np.bincount(target, minlength=dim), np.ones(dim, dtype=np.intp)):
-        raise ConvergenceError(f"shift factor of {f} is not a permutation")
+        raise ConvergenceError(f"shift factor of dimension {dim} is not a permutation")
     step = target.tolist()
     i, length = step[0], 1
     while i != 0:
         i, length = step[i], length + 1
     if length != dim:
         raise ConvergenceError(
-            f"shift factor of {f} is not a single {dim}-cycle (cycle through 0 has length {length})"
+            f"shift factor is not a single {dim}-cycle (cycle through 0 has length {length})"
         )
 
 
@@ -156,19 +291,31 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with ||matrix - U||_2 <= e; with e = 0, of the matrix itself if it is
     exactly normal.
 
-    The walk operators are solved on a half-size block.  In the basis
-    ordering of the module docstring index i sits at site (i + 1) // 2 - q,
-    so the site parity splits the indices into E, those of the parity of
-    the corner site -q, and O, the rest; |E| = |O| for every even
-    dimension.  A walk operator only couples neighbouring sites, so it is
-    exactly zero on E x E and O x O: the parity gauge identity
-    G U G^-1 = -U (gauge_check) is this zero pattern.  A real matrix of
-    even dimension that is exactly zero on both blocks is [[0, A], [B, 0]]
-    on (E, O), its square is AB on E, and each eigenpair (mu, v) of the
-    real AB gives the two eigenpairs (+-sqrt(mu), (v, +-B v / sqrt(mu))).
-    Every other matrix takes a complex eigensolve of the whole matrix.
-    Either way the checks below run on the whole matrix, so the
-    certificate does not depend on how the pairs were found.
+    The walk operators are solved by reflection sector, as two real q x q
+    eigenproblems.  In the basis ordering of the module docstring index i
+    sits at site (i + 1) // 2 - q, and the reversal J: i <-> 4q - 1 - i
+    maps (n, L) to (-n, R).  J S J = S for the shift, and J C J = C for
+    the coin: swapping L and R turns a rotation by theta into one by
+    -theta, and the coin angle is odd in n.  So a walk operator U equals
+    U[::-1, ::-1], and with K the 2q x 2q reversal and U11, U12 the two
+    upper blocks it is U+ (+) U- on the vectors (x, +-K x), where U+- =
+    U11 +- U12 K.  For the walk operators U11 and U12 K have disjoint
+    nonzero patterns, so U+- hold U's floats with no rounded sum.
+    Site parity splits the indices into E, those of the parity of the
+    corner site -q, and O, the rest; J keeps the parity of a site.  A walk
+    operator only couples neighbouring sites, so it is exactly zero on
+    E x E and O x O: the parity gauge identity G U G^-1 = -U (gauge_check)
+    is this zero pattern.  So each U+- is [[0, A], [B, 0]] on the first
+    half's E and O, q indices each, and each eigenpair (mu, w) of the
+    real q x q matrix AB gives (+-sqrt(mu), x = (w, +-B w / sqrt(mu))),
+    and x lifts to the eigenvector (x, +-K x) of U, with its sector's sign.
+
+    A matrix takes this path when it is real, its dimension is a multiple
+    of 4, it is exactly zero on both equal-parity blocks and it equals
+    m[::-1, ::-1]: O(n^2) array tests.  Every other matrix takes a complex
+    eigensolve of the whole matrix.  Either way the checks below run on
+    the whole matrix, so the certificate does not depend on how the pairs
+    were found.
 
     U is normal, so for any v != 0 some eigenvalue of U lies within
     ||U v - lambda v|| / ||v|| of lambda (Bauer-Fike with condition number
@@ -194,25 +341,51 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     - ||(U - M) v|| <= e ||v||.
     This assumes IEEE double arithmetic with standard complex products (not
     the 3M method) and costs O(n^2) on top of the solve.
+
+    spectrum() runs the same sector solve and the same checks on a walk
+    operator held as its factors (_WalkOperator), in O(n) per vector.  Its
+    fl(U v) is a gather by the shift targets, which is exact, and one
+    rotation per site: c x - s y and s x + c y, or corner * x at the two
+    corners.  These are exactly the products and additions of the fl(M v)
+    bullet with k = 2 (k = 1 when no block has both c and s nonzero), so
+    the same radius formula holds.  ||U||_abs is max(|c| + |s|, 1), the
+    largest row sum of |U|, which is also its largest column sum.  The
+    unitarity pre-check is _check_coin's, proven once per operator.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    odd = _odd_sites(len(m))
-    split = (
-        len(m) % 2 == 0
+    n = len(m)
+    odd = _odd_sites(n)
+    sectors = (
+        n > 0
+        and n % 4 == 0
         and not (np.iscomplexobj(m) and m.imag.any())
         and not m[odd[:, None] == odd[None, :]].any()
+        and np.array_equal(m[::-1, ::-1], m)
     )
-    m = m.real.astype(float) if split else m.astype(complex)
+    m = m.real.astype(float) if sectors else m.astype(complex)
     defect = unitarity_defect(m)
     if not defect <= UNITARITY_PRE_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    try:
-        values, vectors = _split_eig(m, odd) if split else np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+    values, vectors = _sector_eig(m[: n // 2], _frame(n // 4)) if sectors else _eig(m)
+    magnitudes = np.abs(m)
+    abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
+    k = int(np.count_nonzero(m, axis=1).max())
+    return _certified(values, vectors, m @ vectors, abs_norm, k)
+
+
+def _walk_eigenpairs(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # eigenpairs() of the walk operator op, with no dense product
+    values, vectors = _sector_eig(op.top_rows(), op.frame)
+    return _certified(values, vectors, op.apply(vectors), op.abs_norm(), op.max_row_nonzeros())
+
+
+def _certified(
+    values: np.ndarray, vectors: np.ndarray, applied: np.ndarray, abs_norm: float, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate the eigenpairs, given applied = fl(M vectors), and sort them with their radii (eigenpairs)."""
+    residuals = np.linalg.norm(applied - vectors * values, axis=0)
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
@@ -223,15 +396,19 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConvergenceError(
             f"eigenvalue modulus drifted {drift:.3e} from the unit circle"
         )
-    magnitudes = np.abs(m)
-    abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
-    k = int(np.count_nonzero(m, axis=1).max())
     product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + np.abs(values))
-    radii = (1.0 + _gamma(len(m) + 8)) * (
+    radii = (1.0 + _gamma(len(values) + 8)) * (
         residuals / np.linalg.norm(vectors, axis=0) + product_error
     )
     order = np.argsort(_principal_args(values), kind="stable")
     return values[order], vectors[:, order], radii[order]
+
+
+def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
 def _odd_sites(n: int) -> np.ndarray:
@@ -239,19 +416,26 @@ def _odd_sites(n: int) -> np.ndarray:
     return (np.arange(n) + 1) // 2 % 2 == 1
 
 
-def _split_eig(m: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a real [[0, A], [B, 0]] on (~odd, odd) from the real eigenproblem of AB."""
-    even = ~odd
-    a = m[np.ix_(even, odd)]
-    b = m[np.ix_(odd, even)]
-    mu, w = np.linalg.eig(a @ b)
-    root = np.sqrt(mu.astype(complex))
-    w = w.astype(complex)
-    partner = (b @ w) / root
-    vectors = np.empty((len(m), len(m)), dtype=complex)
-    vectors[even] = np.hstack([w, w])
-    vectors[odd] = np.hstack([partner, -partner])
-    return np.concatenate([root, -root]), vectors
+def _sector_eig(top: np.ndarray, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of U = U+ (+) U- from its first 2q rows, by two real q x q solves (eigenpairs)."""
+    half = len(top)
+    q = half // 2
+    u11, u12k = top[:, :half], top[:, half:][:, ::-1]
+    values = np.empty(2 * half, dtype=complex)
+    vectors = np.empty((2 * half, 2 * half), dtype=complex)
+    for sector, sign in enumerate((1.0, -1.0)):
+        u = u11 + sign * u12k
+        a, b = u[frame.even_odd], u[frame.odd_even]
+        mu, w = _eig(a @ b)
+        root = np.sqrt(mu.astype(complex))
+        partner = (b @ w) / root
+        plus = slice(sector * half, sector * half + q)
+        minus = slice(sector * half + q, (sector + 1) * half)
+        values[plus], values[minus] = root, -root
+        vectors[frame.even, plus] = vectors[frame.even, minus] = w
+        vectors[frame.odd, plus], vectors[frame.odd, minus] = partner, -partner
+    vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
+    return values, vectors
 
 
 def _principal_args(values: np.ndarray) -> np.ndarray:
@@ -285,20 +469,11 @@ class Spectrum:
 
 def spectrum(f: QuarterFraction, order: str = "CW") -> Spectrum:
     """Spectrum of the one-step operator for the given factor order."""
-    return _spectrum_of(f, _operator(f, order))
+    return _spectrum_of(f, _walk_operator(f, order))
 
 
-def _operator(f: QuarterFraction, order: str) -> np.ndarray:
-    coin, shift = build_matrices(f)
-    if order == "CW":
-        return coin @ shift
-    if order == "WC":
-        return shift @ coin
-    raise ValueError(f"unknown operator order {order!r}")
-
-
-def _spectrum_of(f: QuarterFraction, m: np.ndarray) -> Spectrum:
-    values, _, radii = eigenpairs(m)
+def _spectrum_of(f: QuarterFraction, op: _WalkOperator) -> Spectrum:
+    values, _, radii = _walk_eigenpairs(op)
     return Spectrum(f.p, f.q, values, _principal_args(values), radii + OPERATOR_ERROR)
 
 
@@ -398,7 +573,7 @@ def _wrap_args(args: np.ndarray) -> np.ndarray:
 
 def property_report(f: QuarterFraction) -> PropertyReport:
     """Measure the five spectral properties of coin @ shift ("CW": the shift acts first)."""
-    cw = _operator(f, "CW")
+    cw = _walk_operator(f, "CW")
     spec = _spectrum_of(f, cw)
     mirror = spectrum(f.canonical().complement(), "CW")
     r_reflect = circular_arg_distance(spec.args, mirror.args)
@@ -422,7 +597,7 @@ def property_report(f: QuarterFraction) -> PropertyReport:
         det_residual=det_residual,
         simple_gap=gap,
         gap_lower_bound=gap_lower,
-        gauge_residual=_gauge_residual(cw),
+        gauge_residual=cw.gauge_residual(),
         spectrum=spec,
     )
 
@@ -433,15 +608,10 @@ def gauge_check(f: QuarterFraction) -> float:
     The operator only couples neighbouring sites, so the gauge flip of
     every nonzero entry is exact and the returned value must be 0.0
     with no tolerance.  This is the zero pattern eigenpairs splits on.
+    It is evaluated on the two entries of each operator row, in O(n); the
+    signs are (-1)^(n + q), and a global sign leaves G U G^-1 unchanged.
     """
-    return _gauge_residual(_operator(f, "CW"))
-
-
-def _gauge_residual(m: np.ndarray) -> float:
-    # the signs are (-1)^(n + q): a global sign leaves G m G^-1 unchanged
-    signs = np.where(_odd_sites(len(m)), -1.0, 1.0)
-    conjugated = signs[:, None] * m * signs[None, :]
-    return float(np.abs(conjugated + m).max())
+    return _walk_operator(f, "CW").gauge_residual()
 
 
 def butterfly_fractions(q_max: int) -> Iterator[QuarterFraction]:

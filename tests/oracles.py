@@ -212,8 +212,36 @@ def complex_eigenpairs(matrix):
     residual and modulus gates and radius formula, with no structure used.
     """
     m = np.asarray(matrix, dtype=complex)
+    return _dense_certified(m, *np.linalg.eig(m))
+
+
+def parity_split_eigenpairs(matrix):
+    """(values, vectors, radii) from the real 2q x 2q eigenproblem of AB.
+
+    The solve that walk operators took before the reflection sectors: the
+    real matrix is [[0, A], [B, 0]] on the site-parity sets (E, O) of the
+    whole 4q basis, and each eigenpair (mu, v) of AB gives the two
+    eigenpairs (+-sqrt(mu), (v, +-B v / sqrt(mu))).  Checked like
+    complex_eigenpairs, on the whole matrix.
+    """
+    m = np.asarray(matrix, dtype=float)
+    odd = (np.arange(len(m)) + 1) // 2 % 2 == 1
+    even = ~odd
+    assert not m[odd[:, None] == odd[None, :]].any()
+    a = m[np.ix_(even, odd)]
+    b = m[np.ix_(odd, even)]
+    mu, w = np.linalg.eig(a @ b)
+    root = np.sqrt(mu.astype(complex))
+    w = w.astype(complex)
+    partner = (b @ w) / root
+    vectors = np.empty((len(m), len(m)), dtype=complex)
+    vectors[even] = np.hstack([w, w])
+    vectors[odd] = np.hstack([partner, -partner])
+    return _dense_certified(m.astype(complex), np.concatenate([root, -root]), vectors)
+
+
+def _dense_certified(m, values, vectors):
     assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-10
-    values, vectors = np.linalg.eig(m)
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     assert residuals.max() <= 1e-9
     assert np.abs(np.abs(values) - 1.0).max() <= 1e-12

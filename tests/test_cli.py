@@ -329,7 +329,8 @@ class TestPropertiesCommand:
         assert payload["gap_lower_bound"] < 0.0 < payload["simple_gap"]
 
     def test_two_eigensolves_per_command(self, capsys, monkeypatch):
-        # one for the spectrum at alpha, one at 1 - alpha
+        # one operator for the spectrum at alpha, one at 1 - alpha, each solved
+        # as its two q x q reflection sectors
         real_eig = np.linalg.eig
         shapes = []
 
@@ -340,21 +341,21 @@ class TestPropertiesCommand:
         monkeypatch.setattr(np.linalg, "eig", spy)
         code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
-        assert shapes == [(10, 10), (10, 10)]
+        assert shapes == [(5, 5)] * 4
 
     def test_one_operator_build_per_fraction(self, capsys, monkeypatch):
         # alpha's build serves its spectrum and the gauge residual; the other is 1 - alpha
-        real_build = spectral.build_matrices
+        real_build = spectral._walk_operator
         built = []
 
-        def spy(f):
-            built.append(f)
-            return real_build(f)
+        def spy(f, order):
+            built.append((f, order))
+            return real_build(f, order)
 
-        monkeypatch.setattr(spectral, "build_matrices", spy)
+        monkeypatch.setattr(spectral, "_walk_operator", spy)
         code, out, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
-        assert built == [QuarterFraction(3, 5), QuarterFraction(17, 5)]
+        assert built == [(QuarterFraction(3, 5), "CW"), (QuarterFraction(17, 5), "CW")]
         assert json.loads(open(out.strip()).read())["gauge_residual"] == 0.0
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (3, 19)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from iqwalk import (
     unitarity_defect,
 )
 from iqwalk.exact_trig import TRIG_ERROR_BOUND
-from iqwalk.spectral import OPERATOR_ERROR, _check_factors, _wrap_args
+from iqwalk import spectral
+from iqwalk.spectral import OPERATOR_ERROR, _check_coin, _check_shift, _wrap_args
 from oracles import (
     EXACT_GAP_3_76,
     EXACT_GAP_3_80,
@@ -34,6 +36,7 @@ from oracles import (
     complex_eigenpairs,
     mp_residuals,
     mp_walk_operator,
+    parity_split_eigenpairs,
 )
 
 QUARTET = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -107,7 +110,7 @@ class TestBuildMatrices:
 
 
 class TestFactorChecks:
-    """_check_factors proves det(coin) = 1 and det(shift) = -1 in O(n)."""
+    """_check_coin and _check_shift prove det(coin) = 1 and det(shift) = -1 in O(n)."""
 
     @staticmethod
     def factors():
@@ -117,31 +120,34 @@ class TestFactorChecks:
         return coin[left, left], coin[left + 1, left], shift.argmax(axis=1)
 
     def test_walk_factors_pass(self):
-        _check_factors(QuarterFraction(1, 3), -1.0, *self.factors())
+        cos, sin, target = self.factors()
+        _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
+        _check_shift(target)
 
     def test_wrong_cosine_is_rejected(self):
         cos, sin, target = self.factors()
         cos[2] += 1e-12
         with pytest.raises(ConvergenceError, match="not a rotation"):
-            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+            _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
 
     def test_inexact_corner_is_rejected(self):
+        cos, sin, _ = self.factors()
         with pytest.raises(ConvergenceError, match="corner"):
-            _check_factors(QuarterFraction(1, 3), np.nextafter(-1.0, 0.0), *self.factors())
+            _check_coin(QuarterFraction(1, 3), np.nextafter(-1.0, 0.0), cos, sin)
 
     def test_two_cycles_are_rejected(self):
         # swapping two images splits the single 12-cycle into two cycles
-        cos, sin, target = self.factors()
+        _, _, target = self.factors()
         target[[0, 5]] = target[[5, 0]]
         assert sorted(target) == list(range(12))
         with pytest.raises(ConvergenceError, match="single 12-cycle"):
-            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+            _check_shift(target)
 
     def test_repeated_column_is_rejected(self):
-        cos, sin, target = self.factors()
+        _, _, target = self.factors()
         target[4] = target[6]
         with pytest.raises(ConvergenceError, match="not a permutation"):
-            _check_factors(QuarterFraction(1, 3), -1.0, cos, sin, target)
+            _check_shift(target)
 
 
 class TestEigenvalues:
@@ -199,6 +205,13 @@ def walk_operator(p, q, order="CW"):
     return coin @ shift if order == "CW" else shift @ coin
 
 
+def turned_origin_operator():
+    # 1/8's operator with a 0.6, 0.8 rotation coin at site 0 instead of the identity
+    coin, shift = build_matrices(QuarterFraction(1, 2))
+    coin[3:5, 3:5] = [[0.6, -0.8], [0.8, 0.6]]
+    return coin @ shift
+
+
 def haar_operator(q, seed=7):
     # the walk's shift with a Haar U(2) coin at every interior site
     coin, shift = build_matrices(QuarterFraction(1, q))
@@ -223,13 +236,14 @@ def eig_calls(monkeypatch):
 
 
 class TestParitySplit:
-    """Real unitaries zero on the site-parity blocks are solved on their half-size block AB."""
+    """Real unitaries that commute with the reversal J and are zero on the
+    site-parity blocks are solved as two real q x q sector blocks A+-B+-."""
 
-    def test_walk_operators_take_the_half_size_real_solve(self, eig_calls):
+    def test_walk_operators_take_the_sector_solve(self, eig_calls):
         eigenpairs(walk_operator(3, 5, "CW"))
         eigenpairs(walk_operator(3, 5, "WC"))
         eigenpairs(walk_operator(3, 5).astype(complex))  # zero imaginary part
-        assert eig_calls == [((10, 10), np.float64)] * 3
+        assert eig_calls == [((5, 5), np.float64)] * 6
 
     @pytest.mark.parametrize(
         "matrix",
@@ -245,6 +259,8 @@ class TestParitySplit:
             pytest.param(np.eye(4)[[1, 2, 0, 3]], id="3-cycle and a fixed point"),
             # bipartite, but index 1 meets index 2, two odd sites
             pytest.param(np.roll(np.eye(4), 1, axis=1), id="4-cycle off the parity pattern"),
+            # on the parity pattern, but the coin at site 0 turns, so J C J != C
+            pytest.param(turned_origin_operator(), id="parity pattern without the reflection"),
         ],
     )
     def test_other_unitaries_take_the_complex_solve(self, eig_calls, matrix):
@@ -252,18 +268,27 @@ class TestParitySplit:
         assert eig_calls == [(matrix.shape, np.complex128)]
         assert len(values) == len(matrix)
 
-    def test_bipartite_permutation_takes_the_half_size_solve(self, eig_calls):
-        # swaps 0 <-> 1 and 2 <-> 3: each couples an even-site index to an odd one
+    def test_bipartite_permutation_takes_the_sector_solve(self, eig_calls):
+        # swaps 0 <-> 1 and 2 <-> 3: each couples an even-site index to an
+        # odd one, and the reversal 0 <-> 3, 1 <-> 2 maps the pairs onto each other
         values, _, _ = eigenpairs(np.eye(4)[[1, 0, 3, 2]])
-        assert eig_calls == [((2, 2), np.float64)]
+        assert eig_calls == [((1, 1), np.float64)] * 2
         assert np.allclose(values, [1.0, 1.0, -1.0, -1.0])
 
-    def test_every_spectrum_up_to_q20_takes_one_half_size_solve(self, eig_calls):
+    def test_every_spectrum_up_to_q20_takes_two_sector_solves(self, eig_calls):
         for f in butterfly_fractions(20):
             for order in ("CW", "WC"):
                 eig_calls.clear()
                 spectrum(f, order)
-                assert eig_calls == [((2 * f.q, 2 * f.q), np.float64)], f"{f} {order}"
+                assert eig_calls == [((f.q, f.q), np.float64)] * 2, f"{f} {order}"
+
+    def test_matches_the_parity_split_oracle_for_every_fraction_up_to_q20(self):
+        for f in butterfly_fractions(20):
+            for order in ("CW", "WC"):
+                spec = spectrum(f, order)
+                ref_values, _, _ = parity_split_eigenpairs(walk_operator(f.p, f.q, order))
+                gap = circular_arg_distance(spec.args, np.angle(ref_values))
+                assert gap <= 1e-12, f"{f} {order}: {gap}"
 
     def test_matches_the_complex_solve_for_every_fraction_up_to_q20(self):
         # same count, args within 1e-12, and a certified verdict never weaker
@@ -320,8 +345,11 @@ class TestResidualDisks:
         assert vectors.shape == (20, 20)
         assert np.all(radii > 0.0)
         spec = spectrum(f)
+        walk_values, _, walk_radii = spectral._walk_eigenpairs(spectral._walk_operator(f, "CW"))
+        # the dense matrix and the factors give the same sector blocks, so the same solve
         assert np.array_equal(spec.eigenvalues, values)
-        assert np.array_equal(spec.radii, radii + OPERATOR_ERROR)
+        assert np.array_equal(spec.eigenvalues, walk_values)
+        assert np.array_equal(spec.radii, walk_radii + OPERATOR_ERROR)
 
     def test_doubled_eigenvalue_fails_the_certificate(self):
         values, _, radii = eigenpairs(np.diag([1.0, 1.0, -1.0, 1.0j]))
@@ -334,6 +362,48 @@ class TestResidualDisks:
         measured, bound = eigenvalue_gaps(values, radii)
         assert measured == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert 0.0 < bound < measured
+
+
+class TestStructuredCertificate:
+    """spectrum() checks its eigenpairs on the operator's factors, in O(n) per vector."""
+
+    @pytest.mark.parametrize("order", ["CW", "WC"])
+    def test_perturbed_coin_fails_the_residual_gate(self, monkeypatch, order):
+        op = spectral._walk_operator(QuarterFraction(3, 5), order)
+        real_solve = spectral._sector_eig
+
+        def solve_then_perturb(*args):
+            pairs = real_solve(*args)
+            op.cos[2] += 1e-8
+            return pairs
+
+        monkeypatch.setattr(spectral, "_sector_eig", solve_then_perturb)
+        with pytest.raises(ConvergenceError, match="residual"):
+            spectral._walk_eigenpairs(op)
+
+    def test_residual_is_within_rounding_of_the_dense_product(self):
+        for f in butterfly_fractions(12):
+            coin, shift = build_matrices(f)
+            for order, m in (("CW", coin @ shift), ("WC", shift @ coin)):
+                op = spectral._walk_operator(f, order)
+                values, vectors, _ = spectral._walk_eigenpairs(op)
+                structured = np.linalg.norm(op.apply(vectors) - vectors * values, axis=0)
+                dense = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+                # each is within sqrt(2) gamma_{k+2} (||U||_abs + |lambda|) ||v|| of
+                # the exact residual, up to relative roundings (eigenpairs)
+                k = int(np.count_nonzero(m, axis=1).max())
+                assert op.max_row_nonzeros() == k
+                magnitudes = np.abs(m)
+                dense_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
+                assert abs(op.abs_norm() - dense_norm) <= 2.0**-52 * dense_norm
+                product_error = (
+                    math.sqrt(2.0)
+                    * spectral._gamma(k + 2)
+                    * (op.abs_norm() + np.abs(values))
+                    * np.linalg.norm(vectors, axis=0)
+                )
+                bound = 2.0 * product_error + spectral._gamma(len(m) + 8) * (structured + dense)
+                assert np.all(np.abs(structured - dense) <= bound), f"{f} {order}"
 
 
 class TestResidualDisksAgainstOracle:
@@ -459,6 +529,21 @@ class TestGauge:
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (7, 9)])
     def test_parity_gauge_flips_the_operator_exactly(self, p, q):
         assert gauge_check(QuarterFraction(p, q)) == 0.0
+
+    @pytest.mark.parametrize("order", ["CW", "WC"])
+    def test_residual_equals_the_dense_one_off_the_gauge(self, order):
+        # a wrong sign at index j breaks the identity on row j and column j
+        f = QuarterFraction(3, 5)
+        op = spectral._walk_operator(f, order)
+        coin, shift = build_matrices(f)
+        m = coin @ shift if order == "CW" else shift @ coin
+        for j in range(len(m)):
+            signs = op.frame.signs.copy()
+            signs[j] = -signs[j]
+            wrong = dataclasses.replace(op, frame=dataclasses.replace(op.frame, signs=signs))
+            dense = float(np.abs(signs[:, None] * m * signs[None, :] + m).max())
+            assert dense > 0.0
+            assert wrong.gauge_residual() == dense, f"index {j}"
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (7, 9)])
     def test_report_carries_the_gauge_residual(self, p, q):
