@@ -5,14 +5,17 @@ rotational family uses angle 2*pi*alpha*n where alpha is the inverse
 period: a QuarterFraction (exact residue trig), a general Fraction
 (exact quadrant trig, never perfectly reflecting unless the denominator
 is a multiple of 4), or a certified irrational enclosure (mpmath trig
-at payload precision, rounded once).
+at payload precision, rounded once).  Haar-random coins come from a
+counter-based generator keyed on (seed, site); a schedule builds them a
+whole buffer at a time, bitwise equal to haar_coin.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -61,14 +64,27 @@ def reflecting_coin(phase: float = 0.0) -> np.ndarray:
     return np.array([[0.0, -u], [np.conj(u), 0.0]], dtype=complex)
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int; floats, bools and NaN raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not a bool ({value!r})")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def haar_coin(seed: int, n: int) -> np.ndarray:
     """Haar-distributed U(2) coin, a pure function of (seed, n).
 
     Uses a counter-based generator keyed on (seed, site) so coins are
     reproducible across runs and independent of evaluation order, and
-    the standard four-angle parametrization of U(2).
+    the standard four-angle parametrization of U(2).  seed and n must be
+    integers; floats and bools raise TypeError.
     """
-    key = np.array([seed & _U64, n & _U64], dtype=np.uint64)
+    key = np.array(
+        [_integer(seed, "seed") & _U64, _integer(n, "site") & _U64], dtype=np.uint64
+    )
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random(4)
     theta = math.asin(math.sqrt(u[0]))
@@ -83,6 +99,92 @@ def haar_coin(seed: int, n: int) -> np.ndarray:
     )
 
 
+# Philox4x64-10 (Salmon et al., "Random123", SC'11): multipliers and key bumps,
+# rows for counter words 0 and 2.  The limbs are split in Python, since a first
+# integer ufunc call at import would map numpy code that only Haar walks use.
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = np.array([[m] for m in _MULTIPLIERS], dtype=np.uint64)
+_M_LO = np.array([[m & 0xFFFFFFFF] for m in _MULTIPLIERS], dtype=np.uint64)
+_M_HI = np.array([[m >> 32] for m in _MULTIPLIERS], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _mulhilo(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * b, by 32-bit limbs."""
+    b_lo, b_hi = b & _LO32, b >> 32
+    t = _M_HI * b_lo + ((_M_LO * b_lo) >> 32)  # < 2**64, as is u
+    u = _M_LO * b_hi + (t & _LO32)
+    return _M_HI * b_hi + (t >> 32) + (u >> 32), _PHILOX_M * b
+
+
+def _philox_words(seed: int, spans: Iterable[range]) -> np.ndarray:
+    """(4, m) uint64: Philox4x64-10 of counter (1, 0, 0, 0) under key (seed, n)
+    for each site n of spans, in order.
+
+    This is the first block numpy's Philox(key=(seed, n)) returns, so column
+    j equals Philox(key=...).random_raw(4) for the j-th site.
+    """
+    sites = np.concatenate(
+        [np.arange(len(s), dtype=np.uint64) + np.uint64(s.start & _U64) for s in spans]
+    )
+    key = np.array([np.full_like(sites, seed & _U64), sites])
+    even = np.zeros_like(key)  # counter words 0 and 2
+    even[0] = 1
+    odd = np.zeros_like(key)  # counter words 1 and 3
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.array([even[0], odd[0], even[1], odd[1]])
+
+
+def _per_site(f, values: np.ndarray) -> np.ndarray:
+    """f applied to each float of a 1-D array, one Python call per entry."""
+    return np.fromiter(map(f, memoryview(values)), float, len(values))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _times_real(re: np.ndarray, im: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a complex scalar times a float, as CPython and numpy scalars compute it:
+    # x becomes x + 0i, which fixes the signs of zero products
+    return _complex(re * x - im * 0.0, re * 0.0 + im * x)
+
+
+def _haar_batch(seed: int, spans: Iterable[range]) -> np.ndarray:
+    """(4, m) entry rows (a, b, c, d) of haar_coin(seed, n) for the sites of
+    spans, bitwise equal to it.
+
+    The generator runs as one array pass.  The trig stays per site in math,
+    since numpy's vector arcsin, cos and sin may round differently.  The
+    global phase multiplies as an array product, as in haar_coin: numpy's
+    complex array multiply may fuse its roundings, which no scalar formula
+    reproduces.
+    """
+    u = (_philox_words(seed, spans) >> 11) * 2.0**-53
+    theta = _per_site(math.asin, np.sqrt(u[0]))
+    ct, st = _per_site(math.cos, theta), _per_site(math.sin, theta)
+    angles = (2.0 * math.pi * u[1:]).ravel()
+    (cphi, cpsi, cchi), (sphi, spsi, schi) = (
+        _per_site(trig, angles).reshape(3, -1) for trig in (math.cos, math.sin)
+    )
+    coins = np.array(
+        [
+            _times_real(cpsi, spsi, ct),
+            _times_real(cchi, schi, st),
+            _times_real(cchi, -schi, -st),
+            _times_real(cpsi, -spsi, ct),
+        ]
+    )
+    return np.multiply(_complex(cphi, sphi), coins)
+
+
 class CoinSchedule:
     """Base schedule: caches coins per site in a buffer that doubles when outgrown."""
 
@@ -90,13 +192,19 @@ class CoinSchedule:
         # rows (a, b, c, d); column 0 is site _origin, sites _lo.._hi are built
         self._origin, self._lo, self._hi = 0, 0, -1
         self._buffer = self._view = np.zeros((4, 0), dtype=complex)
-        self._table = None  # (cos, sin) over one period of a rational schedule, once built
 
     def _build_coin(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _fill(self, lo: int, stop: int) -> np.ndarray:
-        return np.array([self._build_coin(n).reshape(4) for n in range(lo, stop)]).T
+    def _fill(self, spans: tuple[range, range]) -> np.ndarray:
+        """Entry rows (4, m) for the sites of spans, in order."""
+        coins = [self._build_coin(n).reshape(4) for span in spans for n in span]
+        return np.array(coins, dtype=complex).reshape(-1, 4).T
+
+    def _fills_buffer(self) -> bool:
+        """Whether _fill is cheap per site beside its fixed cost, so each
+        reallocation fills the whole buffer in one call."""
+        return False
 
     def coin_at(self, n: int) -> np.ndarray:
         """2x2 unitary coin at site n (fresh array, safe to mutate)."""
@@ -125,10 +233,12 @@ class CoinSchedule:
             self._buffer = np.pad(built, ((0, 0), (self._lo - lo + pad, hi - self._hi + pad)))
             self._origin, self._view = lo - pad, self._buffer.view()
             self._view.flags.writeable = False
-        if self._table is not None:  # gathers cost no trig: fill the whole buffer
+        if self._fills_buffer():
             lo, hi = self._origin, self._origin + self._buffer.shape[1] - 1
-        for start, stop in ((lo, self._lo), (self._hi + 1, hi + 1)):
-            self._buffer[:, start - self._origin : stop - self._origin] = self._fill(start, stop)
+        left, right = range(lo, self._lo), range(self._hi + 1, hi + 1)
+        entries, o = self._fill((left, right)), self._origin
+        self._buffer[:, left.start - o : left.stop - o] = entries[:, : len(left)]
+        self._buffer[:, right.start - o : right.stop - o] = entries[:, len(left) :]
         self._lo, self._hi = lo, hi
 
 
@@ -152,6 +262,7 @@ class RotationalSchedule(CoinSchedule):
         elif not isinstance(alpha, (QuarterFraction, Fraction)):
             raise TypeError(f"unsupported inverse period type {type(alpha)!r}")
         self.alpha = alpha
+        self._table = None  # (cos, sin) over one period of a rational alpha, once built
 
     @property
     def quarter_fraction(self) -> QuarterFraction | None:
@@ -169,34 +280,48 @@ class RotationalSchedule(CoinSchedule):
         c, s = self.angle_cos_sin(n)
         return rotation_coin(c, s)
 
-    def _fill(self, lo: int, stop: int) -> np.ndarray:
+    def _fills_buffer(self) -> bool:
+        return self._table is not None  # gathers cost no trig
+
+    def _fill(self, spans: tuple[range, range]) -> np.ndarray:
         # a rational angle depends only on num*n mod period; table entry k is bitwise
         # the per-site value.  It costs q (or b) trig calls, so it waits for a wide cache.
         f = self.alpha
         if isinstance(f, RealEnclosure):
-            return super()._fill(lo, stop)
+            return super()._fill(spans)
         quarter = isinstance(f, QuarterFraction)
         num, period = (f.p, f.modulus) if quarter else (f.numerator, f.denominator)
         if self._table is None:
-            if self._hi - self._lo + 1 + stop - lo < (f.q if quarter else period):
-                return super()._fill(lo, stop)
+            if self._hi - self._lo + 1 + sum(map(len, spans)) < (f.q if quarter else period):
+                return super()._fill(spans)
             self._table = quarter_trig_table(f.q) if quarter else np.array(
                 [fraction_cos_sin(Fraction(k, period)) for k in range(period)]
             ).T
         cos, sin = self._table
-        k = num % period * ((lo % period + np.arange(stop - lo)) % period) % period
+        sites = np.concatenate([span.start % period + np.arange(len(span)) for span in spans])
+        k = num % period * (sites % period) % period
         return np.array([cos[k], -sin[k], sin[k], cos[k]])
 
 
 class RandomSchedule(CoinSchedule):
-    """Independent Haar-random coins, deterministic in (seed, site)."""
+    """Independent Haar-random coins, deterministic in (seed, site).
+
+    The cache is filled a whole buffer at a time by _haar_batch, bitwise
+    equal to haar_coin(seed, n) at every site.
+    """
 
     def __init__(self, seed: int):
         super().__init__()
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
 
     def _build_coin(self, n: int) -> np.ndarray:
         return haar_coin(self.seed, n)
+
+    def _fills_buffer(self) -> bool:
+        return True  # a batch's cost is mostly its fixed array passes
+
+    def _fill(self, spans: tuple[range, range]) -> np.ndarray:
+        return _haar_batch(self.seed, spans)
 
 
 class CustomSchedule(CoinSchedule):

@@ -14,11 +14,15 @@ from iqwalk import (
     ConvergenceError,
     DualityResiduals,
     QuarterFraction,
+    RandomSchedule,
     RealEnclosure,
     UsageError,
+    distribution,
+    initial_state,
     spectrum,
 )
 from iqwalk.cli import RunConfig, main, parse_alpha, parse_args
+from oracles import extend_copy_schedule, step_loop
 
 
 @pytest.fixture(autouse=True)
@@ -189,6 +193,20 @@ class TestEvolveCommand:
         assert code == 0
         lines = open(out.strip()).read().splitlines()
         assert "# seed: 7" in lines
+
+    def test_random_coins_match_the_per_site_reference(self, tmp_path, capsys):
+        # the README example: batch-filled Haar coins against per-site haar_coin
+        argv = ["evolve", "--alpha", "1/4", "--coins", "random", "--seed", "7", "--steps", "300"]
+        assert main(argv + ["--output", str(tmp_path / "haar.csv")]) == 0
+        capsys.readouterr()
+        config = parse_args(argv)
+        cache = extend_copy_schedule(RandomSchedule(7))
+        state = initial_state(config.initial)
+        for _ in range(300):
+            state = step_loop(state, cache)
+        rows = [(n, *probs) for n, probs in distribution(state).items()]
+        expect = cli._csv_text(config, ("n", "prob_L", "prob_R", "prob"), rows)
+        assert (tmp_path / "haar.csv").read_bytes() == expect.encode()
 
     def test_creates_nested_directories(self, tmp_path, capsys):
         target = tmp_path / "deep" / "er" / "run.csv"

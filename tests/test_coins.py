@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from iqwalk import (
+    CoinSchedule,
     CustomSchedule,
     QuarterFraction,
     RandomSchedule,
@@ -23,7 +25,7 @@ from iqwalk import (
     trig_pair_exact,
     unitarity_defect,
 )
-from iqwalk import exact_trig
+from iqwalk import coins, exact_trig
 from iqwalk.walk import DEFAULT_SPINOR
 
 UNIT = 1e-12
@@ -64,6 +66,72 @@ class TestHaarCoins:
         schedule = RandomSchedule(7)
         assert np.array_equal(schedule.coin_at(11), haar_coin(7, 11))
         assert np.array_equal(RandomSchedule(7).coin_at(11), schedule.coin_at(11))
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, math.nan, np.float64(3.0), True, False, "7", None])
+    def test_schedule_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            RandomSchedule(seed)
+
+    @pytest.mark.parametrize("seed,n", [(2.5, 3), (math.nan, 0), (True, 3), (4, 1.0), (4, False)])
+    def test_free_function_rejects_non_integer_keys(self, seed, n):
+        with pytest.raises(TypeError, match="must be an integer"):
+            haar_coin(seed, n)
+
+    def test_integer_like_seeds_are_accepted(self):
+        schedule = RandomSchedule(np.int64(7))
+        assert type(schedule.seed) is int and schedule.seed == 7
+        assert np.array_equal(haar_coin(np.uint8(7), np.int32(-2)), haar_coin(7, -2))
+
+
+def _haar_bytes(seed, sites):
+    return np.array([haar_coin(seed, n).reshape(4) for n in sites]).T.tobytes()
+
+
+class TestHaarBatch:
+    """One Philox4x64 array pass per fill, bitwise equal to haar_coin per site."""
+
+    SEEDS = [0, 1, 2**31 - 1, 2**63 + 5, 2**64 + 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_window_across_zero(self, seed):
+        sites = range(-300, 301)
+        assert coins._haar_batch(seed, (sites,)).tobytes() == _haar_bytes(seed, sites)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("centre", [2**62, -(2**62), 2**63, -(2**63), 2**64])
+    def test_windows_at_huge_sites(self, seed, centre):
+        sites = range(centre - 20, centre + 21)
+        assert coins._haar_batch(seed, (sites,)).tobytes() == _haar_bytes(seed, sites)
+
+    @given(
+        st.integers(min_value=-(2**65), max_value=2**65),
+        st.integers(min_value=-(2**63), max_value=2**63),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30),
+    )
+    def test_two_spans(self, seed, lo, width, gap):
+        left, right = range(lo, lo + width), range(lo + width + gap, lo + 2 * width + gap)
+        got = coins._haar_batch(seed, (left, right))
+        assert got.shape == (4, 2 * width)
+        assert got.tobytes() == _haar_bytes(seed, [*left, *right])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_words_are_numpy_philox(self, seed):
+        sites = [*range(-3, 4), 2**62 + 1, -(2**62) - 1]
+        words = coins._philox_words(seed, [range(n, n + 1) for n in sites])
+        for j, n in enumerate(sites):
+            key = np.array([seed % 2**64, n % 2**64], dtype=np.uint64)
+            expect = np.random.Philox(key=key).random_raw(4)
+            assert words[:, j].tobytes() == expect.tobytes()
+
+    def test_real_factor_keeps_the_scalar_signs_of_zero(self):
+        # haar_coin's entries are complex scalars times floats, which promote the
+        # float to x + 0i; that fixes the sign of a zero part when a factor is 0
+        grid = [0.0, -0.0, 0.5, -0.5]
+        for re, im, x in itertools.product(grid, repeat=3):
+            got = coins._times_real(np.array([re]), np.array([im]), np.array([x]))
+            for expect in (complex(re, im) * x, x * np.conj(complex(re, -im))):
+                assert got.tobytes() == np.array([expect]).tobytes(), (re, im, x)
 
 
 class TestRotationalSchedule:
@@ -207,18 +275,19 @@ class TestCustomSchedule:
         assert schedule.coin_at(0)[0, 0] == 1.0
 
 
-class CountingSchedule(RandomSchedule):
-    """Haar schedule that counts coin builds per site and cache reallocations."""
+class CountingSchedule(CoinSchedule):
+    """Per-site Haar coins that count coin builds per site and cache reallocations."""
 
     def __init__(self, seed):
-        super().__init__(seed)
+        super().__init__()
+        self.seed = seed
         self.built = Counter()
         self.reallocations = 0
         self._last = None
 
     def _build_coin(self, n):
         self.built[n] += 1
-        return super()._build_coin(n)
+        return haar_coin(self.seed, n)
 
     def coin_entries(self, lo, hi):
         entries = super().coin_entries(lo, hi)
@@ -238,6 +307,23 @@ class TestAmortisedCache:
         assert lo <= -(steps - 1) and hi >= steps - 1
         assert schedule.built == Counter(range(lo, hi + 1))
         assert 1 <= schedule.reallocations <= math.log2(steps) + 2
+
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_haar_walk_fills_once_per_reallocation(self, monkeypatch, order):
+        steps, built, fills = 1000, Counter(), []
+        batch = coins._haar_batch
+
+        def spy(seed, spans):
+            fills.append(spans)
+            built.update(n for span in spans for n in span)
+            return batch(seed, spans)
+
+        monkeypatch.setattr(coins, "_haar_batch", spy)
+        evolve(DEFAULT_SPINOR, RandomSchedule(5), steps, order)
+        lo, hi = min(built), max(built)
+        assert lo <= -(steps - 1) and hi >= steps - 1
+        assert built == Counter(range(lo, hi + 1))
+        assert 1 <= len(fills) <= math.log2(steps) + 2
 
     def test_windows_are_read_only(self):
         schedule = RotationalSchedule(Fraction(2, 7))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqwalk import (
+    CoinSchedule,
     CustomSchedule,
     EmptySupportError,
     NumericalDriftError,
@@ -202,12 +203,12 @@ class TestParityAndNorm:
             evolve(DEFAULT_SPINOR, schedule, 2100)
 
     def test_nan_amplitudes_trip_the_drift_check(self):
-        class NanSchedule(RandomSchedule):
+        class NanSchedule(CoinSchedule):
             def _build_coin(self, n):
                 return np.full((2, 2), np.nan, dtype=complex)
 
         with pytest.raises(NumericalDriftError, match="nan"):
-            evolve(DEFAULT_SPINOR, NanSchedule(0), 1)
+            evolve(DEFAULT_SPINOR, NanSchedule(), 1)
 
 
 class TestReversibility:
@@ -294,6 +295,7 @@ DIFFERENTIAL_SCHEDULES = {
     "1/4": lambda: RotationalSchedule(Fraction(1, 4)),
     "golden": lambda: RotationalSchedule(golden_mean(40)),
     "haar-17": lambda: RandomSchedule(17),
+    "haar-2^63+5": lambda: RandomSchedule(2**63 + 5),
     # reflecting coins at 3 and -2 confine the walk, so every step trims
     "reflect": lambda: CustomSchedule({3: reflecting_coin(), -2: reflecting_coin(0.4)}),
 }
