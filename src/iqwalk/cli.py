@@ -14,6 +14,7 @@ violation.  One-line reasons go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -144,7 +145,9 @@ _NATURAL_FORMAT = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="iqwalk", allow_abbrev=False, description=__doc__)
     parser.add_argument("--version", action="version", version=f"iqwalk {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

@@ -91,27 +91,41 @@ def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class _Layout:
+    """Where the nonzeros of one operator order sit, for every p of one q.
+
+    Row i of U holds its two entries at columns[:, i], with values
+    _WalkOperator.source()[source[:, i]] * scale[:, i]: the diagonal and
+    the other entry of one coin row, or a corner and a placeholder zero.
+    slots, picks and signs fill the sector blocks: entry j of rows
+    0 .. 2q - 1 goes to flat index slots[j] of both sectors' (2, q, q)
+    arrays [A, B], with value source()[picks[j]] * signs[:, j]
+    (_WalkOperator.sector_blocks).  All arrays are read-only.
+    """
+
+    columns: np.ndarray
+    source: np.ndarray
+    scale: np.ndarray
+    slots: np.ndarray
+    picks: np.ndarray
+    signs: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Frame:
     """What the 4q basis fixes for every p, built and proven once per q.
 
     cos and sin are quarter_trig_table(q).  target[i] is the column of the
-    1 in shift row i, a single 4q-cycle.  columns[order] holds the columns
-    of the two entries of each operator row (_WalkOperator.entries).
-    signs is the diagonal of the parity gauge G.  even and odd split the
-    first half of the basis, indices 0 .. 2q - 1, by site parity
-    (eigenpairs), q indices each; A and B are the blocks at even_odd and
-    odd_even.  All arrays are read-only.
+    1 in shift row i, a single 4q-cycle that commutes with J.  layouts
+    holds a _Layout for each order.  signs is the diagonal of the parity
+    gauge G.  All arrays are read-only.
     """
 
     cos: np.ndarray
     sin: np.ndarray
     target: np.ndarray
-    columns: dict[str, np.ndarray]
+    layouts: dict[str, _Layout]
     signs: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-    even_odd: tuple[np.ndarray, np.ndarray]
-    odd_even: tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,17 +143,77 @@ def _frame(q: int) -> _Frame:
     partner = np.arange(dim)
     partner[1 : dim - 1 : 2] += 1
     partner[2 : dim - 1 : 2] -= 1
-    columns = {
-        "CW": np.stack([target, target[partner]]),
-        "WC": np.stack([target, partner[target]]),
+    # row i of coin @ shift is coin row i read at the shifted columns; row i
+    # of shift @ coin is coin row target[i]
+    layouts = {
+        "CW": _layout(np.stack([target, target[partner]]), np.arange(dim)),
+        "WC": _layout(np.stack([target, partner[target]]), target),
     }
-    odd_sites = _odd_sites(dim)
-    even, odd = np.flatnonzero(~odd_sites[: 2 * q]), np.flatnonzero(odd_sites[: 2 * q])
-    signs = np.where(odd_sites, -1.0, 1.0)
-    even_odd, odd_even = np.ix_(even, odd), np.ix_(odd, even)
-    for array in (cos, sin, target, *columns.values(), signs, even, odd, *even_odd, *odd_even):
+    signs = np.where(_odd_sites(dim), -1.0, 1.0)
+    for array in (cos, sin, target, signs):
         array.flags.writeable = False
-    return _Frame(cos, sin, target, columns, signs, even, odd, even_odd, odd_even)
+    return _Frame(cos, sin, target, layouts, signs)
+
+
+def _layout(columns: np.ndarray, rows: np.ndarray) -> _Layout:
+    """The _Layout of the operator whose row i holds coin row rows[i] at columns[:, i].
+
+    Proves, once per q and order, the structure the sector solve rests on
+    (_walk_eigenvalues), and raises ConvergenceError if it fails:
+    - J-symmetry of the pattern: row 4q - 1 - i holds the entries of row i
+      at the reversed columns, from the mirrored site (cos index j <->
+      2q - 2 - j, the same corner), with the sign of every sine flipped.
+      So J U J = U whenever cos[::-1] == cos and sin[::-1] == -sin, which
+      _WalkOperator.sector_blocks checks per operator.
+    - the parity zero pattern: every entry of an E row lies in an O column
+      and vice versa, so U vanishes on E x E and O x O (gauge_check).  J
+      keeps the parity of a site, so the same holds for the folded columns.
+    - the fill: each written entry of rows 0 .. 2q - 1 has its own slot.
+      Two entries share a slot only at a corner row, whose second entry
+      is a placeholder zero, and at site 0, whose sine is zero because
+      sin[::-1] == -sin has sin[q - 1] in its middle; neither is written.
+    """
+    dim = len(rows)
+    q, half = dim // 4, dim // 2
+    corner = (rows == 0) | (rows == dim - 1)
+    site = (rows - 1) // 2  # cos and sin index of an interior coin row's site
+    # indices into source() = (corner, 0.0, cos..., sin...)
+    source = np.stack([np.where(corner, 0, 2 + site), np.where(corner, 1, half + 1 + site)])
+    scale = np.stack([np.ones(dim), np.where((rows % 2 == 1) & ~corner, -1.0, 1.0)])
+    # the source at the mirrored site, cos or sin index j <-> 2q - 2 - j; sines change sign
+    mirror = np.concatenate(([0, 1], np.arange(half, 1, -1), np.arange(dim - 1, half, -1)))
+    flip = np.where(np.arange(dim) > half, -1.0, 1.0)
+    odd_sites = _odd_sites(dim)
+    if not (
+        np.array_equal(columns[:, ::-1], dim - 1 - columns)
+        and np.array_equal(source[:, ::-1], mirror[source])
+        and np.array_equal(scale[:, ::-1], scale * flip[source])
+    ):
+        raise ConvergenceError(f"operator layout of dimension {dim} does not commute with J")
+    if not (
+        np.array_equal(odd_sites[::-1], odd_sites)
+        and np.all(odd_sites[columns] != odd_sites)
+        and np.count_nonzero(odd_sites[:half]) == q
+    ):
+        raise ConvergenceError(f"operator layout of dimension {dim} couples equal-parity sites")
+    # E rows fill A (E x O), O rows fill B (O x E); rank within E or O
+    block = odd_sites[:half].astype(np.intp)
+    rank = np.empty(half, dtype=np.intp)
+    rank[~odd_sites[:half]] = rank[odd_sites[:half]] = np.arange(q)
+    c = columns[:, :half]
+    folded = np.where(c < half, c, dim - 1 - c)
+    # neither the corner's placeholder nor the sine of site 0, index q - 1
+    keep = (source[:, :half] != 1) & (source[:, :half] != half + 1 + (q - 1))
+    slots = ((block * q + rank) * q + rank[folded])[keep]
+    if np.bincount(slots).max() > 1:
+        raise ConvergenceError(f"sector fill of dimension {dim} writes one slot twice")
+    picks = source[:, :half][keep]
+    kept_scale = scale[:, :half][keep]
+    signs = np.stack([kept_scale, np.where((c >= half)[keep], -kept_scale, kept_scale)])
+    arrays = (columns, source, scale, slots, picks, signs)
+    for array in arrays:
+        array.flags.writeable = False
+    return _Layout(*arrays)
 
 
 @dataclass(frozen=True)
@@ -149,7 +223,7 @@ class _WalkOperator:
     The coin is the corner sign and the rotation blocks [[c, -s], [s, c]]
     of sites -q + 1 .. q - 1 (build_matrices); the shift is frame.target.
     The 4q x 4q product is never formed: each row of U holds at most two
-    nonzeros, so U is applied in O(n) per vector.
+    nonzeros, placed by the frame's layout for this order.
     """
 
     order: str
@@ -158,20 +232,9 @@ class _WalkOperator:
     sin: np.ndarray
     frame: _Frame
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """U v for a (4q, m) array: a gather by the shift targets and a 2 x 2 rotation per site."""
-        target = self.frame.target
-        return self._rotate(v[target]) if self.order == "CW" else self._rotate(v)[target]
-
-    def _rotate(self, v: np.ndarray) -> np.ndarray:
-        # the coin factor times v
-        out = np.empty_like(v)
-        out[0], out[-1] = self.corner * v[0], self.corner * v[-1]
-        c, s = self.cos[:, None], self.sin[:, None]
-        left, right = v[1:-1:2], v[2:-1:2]
-        out[1:-1:2] = c * left - s * right
-        out[2:-1:2] = s * left + c * right
-        return out
+    def source(self) -> np.ndarray:
+        """The values the layout indexes: (corner, 0.0, cos..., sin...)."""
+        return np.concatenate(([self.corner, 0.0], self.cos, self.sin))
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(columns, values) of shape (2, 4q): row i of U holds values[:, i] at columns[:, i].
@@ -180,24 +243,23 @@ class _WalkOperator:
         index of its block; a corner row holds a zero on its diagonal
         instead.  The shift moves the coin's columns (CW) or rows (WC).
         """
-        dim = len(self.frame.target)
-        diagonal, off = np.empty(dim), np.zeros(dim)
-        diagonal[0] = diagonal[-1] = self.corner
-        diagonal[1:-1:2] = diagonal[2:-1:2] = self.cos
-        off[1:-1:2], off[2:-1:2] = -self.sin, self.sin
-        values = np.stack([diagonal, off])
-        if self.order == "WC":
-            values = values[:, self.frame.target]
-        return self.frame.columns[self.order], values
+        layout = self.frame.layouts[self.order]
+        return layout.columns, self.source()[layout.source] * layout.scale
 
-    def top_rows(self) -> np.ndarray:
-        """Rows 0 .. 2q - 1 of U as a dense (2q, 4q) array."""
-        columns, values = self.entries()
-        half = len(self.frame.target) // 2
-        top = np.zeros((half, 2 * half))
-        # adding into zeros is exact, and a corner's zero lands on its own entry
-        np.add.at(top, (np.arange(half), columns[:, :half]), values[:, :half])
-        return top
+    def sector_blocks(self) -> np.ndarray:
+        """[[A+, B+], [A-, B-]] as one (2, 2, q, q) array (_walk_eigenvalues).
+
+        First proves J U J = U in O(q), bitwise: the coin angle is odd in
+        the site, so cos[::-1] == cos and sin[::-1] == -sin (_layout).
+        """
+        dim = len(self.frame.target)
+        if not ((self.cos[::-1] == self.cos).all() and (self.sin[::-1] == -self.sin).all()):
+            raise ConvergenceError(f"walk operator of dimension {dim} does not commute with J")
+        layout = self.frame.layouts[self.order]
+        q = dim // 4
+        blocks = np.zeros((2, 2 * q * q))
+        blocks[:, layout.slots] = self.source()[layout.picks] * layout.signs
+        return blocks.reshape(2, 2, q, q)
 
     def gauge_residual(self) -> float:
         """Max of |G U G^-1 + U| over the entries of U; every other entry is 0."""
@@ -253,12 +315,14 @@ def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndar
 
 
 def _check_shift(target: np.ndarray) -> None:
-    """Prove det(shift) = -1 in O(n).
+    """Prove det(shift) = -1 and J shift J = shift in O(n).
 
     The shift has one 1 in each row by construction; target[i] is its
     column.  Every column must be hit exactly once, and following the map
     from row 0 must visit all 4q rows: a single 4q-cycle is an odd
-    permutation, so its determinant is exactly -1.
+    permutation, so its determinant is exactly -1.  It commutes with the
+    reversal J: i <-> 4q - 1 - i when row 4q - 1 - i has its 1 in column
+    4q - 1 - target[i].
     """
     dim = len(target)
     if not np.array_equal(np.bincount(target, minlength=dim), np.ones(dim, dtype=np.intp)):
@@ -271,6 +335,8 @@ def _check_shift(target: np.ndarray) -> None:
         raise ConvergenceError(
             f"shift factor is not a single {dim}-cycle (cycle through 0 has length {length})"
         )
+    if not np.array_equal(target[::-1], dim - 1 - target):
+        raise ConvergenceError(f"shift factor of dimension {dim} does not commute with J")
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -309,6 +375,8 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half's E and O, q indices each, and each eigenpair (mu, w) of the
     real q x q matrix AB gives (+-sqrt(mu), x = (w, +-B w / sqrt(mu))),
     and x lifts to the eigenvector (x, +-K x) of U, with its sector's sign.
+    Both sectors take one np.linalg.eig call on the stacked (2, q, q)
+    products A+-B+- (_sector_solve).
 
     A matrix takes this path when it is real, its dimension is a multiple
     of 4, it is exactly zero on both equal-parity blocks and it equals
@@ -342,15 +410,10 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     This assumes IEEE double arithmetic with standard complex products (not
     the 3M method) and costs O(n^2) on top of the solve.
 
-    spectrum() runs the same sector solve and the same checks on a walk
-    operator held as its factors (_WalkOperator), in O(n) per vector.  Its
-    fl(U v) is a gather by the shift targets, which is exact, and one
-    rotation per site: c x - s y and s x + c y, or corner * x at the two
-    corners.  These are exactly the products and additions of the fl(M v)
-    bullet with k = 2 (k = 1 when no block has both c and s nonzero), so
-    the same radius formula holds.  ||U||_abs is max(|c| + |s|, 1), the
-    largest row sum of |U|, which is also its largest column sum.  The
-    unitarity pre-check is _check_coin's, proven once per operator.
+    spectrum() runs the same stacked sector solve on a walk operator held
+    as its factors, so its eigenvalues are bitwise those of this function
+    for the same operator, and certifies each sector on its own
+    (_walk_eigenvalues), with no 4q-entry vector.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -368,24 +431,25 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     defect = unitarity_defect(m)
     if not defect <= UNITARITY_PRE_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    values, vectors = _sector_eig(m[: n // 2], _frame(n // 4)) if sectors else _eig(m)
+    values, vectors = _lifted_sector_eig(m) if sectors else _eig(m)
     magnitudes = np.abs(m)
     abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
     k = int(np.count_nonzero(m, axis=1).max())
-    return _certified(values, vectors, m @ vectors, abs_norm, k)
+    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+    radii = _radii(values, residuals, np.linalg.norm(vectors, axis=0), abs_norm, k, n)
+    order = np.argsort(_principal_args(values), kind="stable")
+    return values[order], vectors[:, order], radii[order]
 
 
-def _walk_eigenpairs(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # eigenpairs() of the walk operator op, with no dense product
-    values, vectors = _sector_eig(op.top_rows(), op.frame)
-    return _certified(values, vectors, op.apply(vectors), op.abs_norm(), op.max_row_nonzeros())
-
-
-def _certified(
-    values: np.ndarray, vectors: np.ndarray, applied: np.ndarray, abs_norm: float, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate the eigenpairs, given applied = fl(M vectors), and sort them with their radii (eigenpairs)."""
-    residuals = np.linalg.norm(applied - vectors * values, axis=0)
+def _radii(
+    values: np.ndarray,
+    residuals: np.ndarray,
+    lengths: np.ndarray,
+    abs_norm: float,
+    k: int,
+    n: int,
+) -> np.ndarray:
+    """Gate the eigenpairs on their float residuals and moduli, and bound their disks (eigenpairs)."""
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
@@ -397,11 +461,7 @@ def _certified(
             f"eigenvalue modulus drifted {drift:.3e} from the unit circle"
         )
     product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + np.abs(values))
-    radii = (1.0 + _gamma(len(values) + 8)) * (
-        residuals / np.linalg.norm(vectors, axis=0) + product_error
-    )
-    order = np.argsort(_principal_args(values), kind="stable")
-    return values[order], vectors[:, order], radii[order]
+    return (1.0 + _gamma(n + 8)) * (residuals / lengths + product_error)
 
 
 def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,26 +476,100 @@ def _odd_sites(n: int) -> np.ndarray:
     return (np.arange(n) + 1) // 2 % 2 == 1
 
 
-def _sector_eig(top: np.ndarray, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of U = U+ (+) U- from its first 2q rows, by two real q x q solves (eigenpairs)."""
-    half = len(top)
-    q = half // 2
-    u11, u12k = top[:, :half], top[:, half:][:, ::-1]
-    values = np.empty(2 * half, dtype=complex)
-    vectors = np.empty((2 * half, 2 * half), dtype=complex)
-    for sector, sign in enumerate((1.0, -1.0)):
-        u = u11 + sign * u12k
-        a, b = u[frame.even_odd], u[frame.odd_even]
-        mu, w = _eig(a @ b)
-        root = np.sqrt(mu.astype(complex))
-        partner = (b @ w) / root
-        plus = slice(sector * half, sector * half + q)
-        minus = slice(sector * half + q, (sector + 1) * half)
-        values[plus], values[minus] = root, -root
-        vectors[frame.even, plus] = vectors[frame.even, minus] = w
-        vectors[frame.odd, plus], vectors[frame.odd, minus] = partner, -partner
+def _sector_solve(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(root, w, B w, partner) of the stacked sectors [[0, A], [B, 0]] (eigenpairs).
+
+    a and b are (2, q, q).  One eig of the stacked products AB gives each
+    sector's eigenvectors w and eigenvalues mu = root**2; column j of
+    (w, partner), partner = B w / root, is an eigenvector for root[:, j].
+    """
+    mu, w = _eig(a @ b)
+    root = np.sqrt(mu.astype(complex))
+    bw = b @ w
+    return root, w, bw, bw / root[:, None, :]
+
+
+def _lifted_sector_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a dense J-symmetric real m, by one sector solve, lifted to all n entries (eigenpairs)."""
+    n = len(m)
+    half = n // 2
+    odd_sites = _odd_sites(half)
+    even, odd = np.flatnonzero(~odd_sites), np.flatnonzero(odd_sites)
+    u11, u12k = m[:half, :half], m[:half, half:][:, ::-1]
+    u = np.stack([u11 + u12k, u11 - u12k])
+    root, w, _, partner = _sector_solve(u[:, even[:, None], odd], u[:, odd[:, None], even])
+    values = np.stack([root, -root], axis=1).ravel()
+    vectors = np.empty((n, n), dtype=complex)
+    for sector in range(2):
+        columns = slice(sector * half, (sector + 1) * half)
+        vectors[even, columns] = np.hstack([w[sector], w[sector]])
+        vectors[odd, columns] = np.hstack([partner[sector], -partner[sector]])
     vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
     return values, vectors
+
+
+def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, args, radii) of a walk operator, argument-sorted, certified sector by sector.
+
+    P+-^T, with P+- = [I, +-K] / sqrt(2), maps C^2q isometrically onto
+    the vectors (x, +-K x) / sqrt(2), and J U J = U gives U22 = K U11 K
+    and U21 = K U12 K, so U = P+^T U+ P+ + P-^T U- P- with U+- =
+    P+- U P+-^T = U11 +- U12 K (eigenpairs).  Each U+- is therefore exactly unitary, and the
+    eigenvalues of U+ and U- together, with multiplicity, are U's.
+    J U J = U is proven, not assumed: the layout once per q (_layout,
+    _check_shift) and the coin values per operator (sector_blocks).
+    sector_blocks writes every nonzero of U's first 2q rows to its own
+    slot, so A+- and B+- hold U's floats exactly, and the zero pattern
+    proven by _layout makes U+- = [[0, A+-], [B+-, 0]] on (E, O).
+
+    The certificate of eigenpairs then holds in each sector, with n = 2q
+    and the same k and ||.||_abs:
+    - Bauer-Fike: U+- is normal, so some eigenvalue of U+- lies within
+      ||U+- x - lambda x|| / ||x|| of lambda for any x != 0.
+    - For x = (w, p) the float residual is (fl(A p) - fl(w lambda),
+      fl(B w) - fl(p lambda)), and fl(B w) is the one _sector_solve
+      already made.  The rows of A and B are rows of U with their entries
+      moved to distinct columns, so each holds at most k nonzeros and
+      the fl(M v) bullet holds with ||U+-||_abs.  That is at most
+      op.abs_norm() = ||U||_abs: a row sum of |U+-| is a row sum of |U|,
+      and column j of |U+-| holds columns j and 4q - 1 - j of the first
+      2q rows of |U|, where |U[i, 4q - 1 - j]| = |U[4q - 1 - i, j]| by
+      J-symmetry, so its sum is the whole column sum j of |U|.
+    - ||x|| and the residual norm are hypot of the norms of their two
+      halves; hypot adds one rounding to the relative error of a norm of
+      2q entries, which gamma_{n+8} absorbs.
+    - The exact operator U~ is J-symmetric too, and
+      ||U~+- - U+-|| = ||P+- (U~ - U) P+-^T|| <= ||U~ - U||, so the
+      OPERATOR_ERROR that spectrum() adds carries over.
+    The disk about each eigenvalue thus holds an eigenvalue of U~+ or
+    U~-, hence of U~, and eigenvalue_gaps' argument applies unchanged.
+
+    The pair (-root, (w, -p)) needs no evaluation of its own.  Rounding to
+    nearest is odd, so fl(A (-p)) = -fl(A p), fl(w (-root)) =
+    -fl(w root) and fl((-p)(-root)) = fl(p root) bitwise.  Its residual
+    halves are the negated first half and the same second half of the
+    +root pair, and ||(w, -p)|| and |-root| are those of (w, p) and root,
+    so its radius is bitwise the +root radius.
+    """
+    blocks = op.sector_blocks()
+    a, b = blocks[:, 0], blocks[:, 1]
+    root, w, bw, partner = _sector_solve(a, b)
+    lam = root[:, None, :]
+    residuals = np.hypot(
+        np.linalg.norm(a @ partner - w * lam, axis=1),
+        np.linalg.norm(bw - partner * lam, axis=1),
+    )
+    lengths = np.hypot(np.linalg.norm(w, axis=1), np.linalg.norm(partner, axis=1))
+    n = len(op.frame.target) // 2
+    radii = _radii(root, residuals, lengths, op.abs_norm(), op.max_row_nonzeros(), n)
+    # per sector: the q roots, then their negatives
+    values = np.stack([root, -root], axis=1).ravel()
+    radii = np.stack([radii, radii], axis=1).ravel()
+    args = _principal_args(values)
+    order = np.argsort(args, kind="stable")
+    return values[order], args[order], radii[order]
 
 
 def _principal_args(values: np.ndarray) -> np.ndarray:
@@ -473,8 +607,8 @@ def spectrum(f: QuarterFraction, order: str = "CW") -> Spectrum:
 
 
 def _spectrum_of(f: QuarterFraction, op: _WalkOperator) -> Spectrum:
-    values, _, radii = _walk_eigenpairs(op)
-    return Spectrum(f.p, f.q, values, _principal_args(values), radii + OPERATOR_ERROR)
+    values, args, radii = _walk_eigenvalues(op)
+    return Spectrum(f.p, f.q, values, args, radii + OPERATOR_ERROR)
 
 
 def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float]:

@@ -242,19 +242,84 @@ def parity_split_eigenpairs(matrix):
 
 def _dense_certified(m, values, vectors):
     assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-10
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    assert residuals.max() <= 1e-9
-    assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
     magnitudes = np.abs(m)
     abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
     k = int(np.count_nonzero(m, axis=1).max())
+    return _certify(values, vectors, m @ vectors, abs_norm, k)
+
+
+def _certify(values, vectors, applied, abs_norm, k):
+    # the gates and the radius formula of iqwalk.eigenpairs, over whole columns
+    residuals = np.linalg.norm(applied - vectors * values, axis=0)
+    assert residuals.max() <= 1e-9
+    assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
     product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + np.abs(values))
-    radii = (1.0 + _gamma(len(m) + 8)) * (
+    radii = (1.0 + _gamma(len(vectors) + 8)) * (
         residuals / np.linalg.norm(vectors, axis=0) + product_error
     )
     args = np.angle(values)
     order = np.argsort(np.where(args == -np.pi, np.pi, args), kind="stable")
     return values[order], vectors[:, order], radii[order]
+
+
+def walk_apply(op, v):
+    """U v for a (4q, m) array, from the factors of a walk operator.
+
+    A gather by the shift targets and one 2 x 2 rotation per site, in
+    O(n) per vector: c x - s y and s x + c y, or corner * x at the two
+    corners, the roundings of a dense row with two nonzeros.
+    """
+    target = op.frame.target
+    return _rotate(op, v[target]) if op.order == "CW" else _rotate(op, v)[target]
+
+
+def _rotate(op, v):
+    # the coin factor times v
+    out = np.empty_like(v)
+    out[0], out[-1] = op.corner * v[0], op.corner * v[-1]
+    c, s = op.cos[:, None], op.sin[:, None]
+    left, right = v[1:-1:2], v[2:-1:2]
+    out[1:-1:2] = c * left - s * right
+    out[2:-1:2] = s * left + c * right
+    return out
+
+
+def lifted_walk_eigenpairs(op):
+    """(values, vectors, radii) of a walk operator, certified on all 4q entries.
+
+    The certificate spectrum() made before it went sector-native.  The
+    first 2q rows of U are gathered densely; each reflection sector
+    U+- = U11 +- U12 K is split into its blocks A, B on the first half's
+    site-parity sets and solved by its own eig of AB; each pair
+    (+-sqrt(mu), x = (w, +-B w / sqrt(mu))) is lifted to the 4q-vector
+    (x, +-K x).  The residuals are taken with walk_apply on the lifted
+    vectors, and the radii follow the formula of iqwalk.eigenpairs with
+    n = 4q, k = op.max_row_nonzeros() and ||U||_abs = op.abs_norm().
+    """
+    columns, entries = op.entries()
+    dim = len(op.frame.target)
+    half, q = dim // 2, dim // 4
+    top = np.zeros((half, dim))
+    # adding into zeros is exact, and a corner's zero lands on its own entry
+    np.add.at(top, (np.arange(half), columns[:, :half]), entries[:, :half])
+    odd_sites = (np.arange(half) + 1) // 2 % 2 == 1
+    even, odd = np.flatnonzero(~odd_sites), np.flatnonzero(odd_sites)
+    u11, u12k = top[:, :half], top[:, half:][:, ::-1]
+    values = np.empty(dim, dtype=complex)
+    vectors = np.empty((dim, dim), dtype=complex)
+    for sector, sign in enumerate((1.0, -1.0)):
+        u = u11 + sign * u12k
+        b = u[np.ix_(odd, even)]
+        mu, w = np.linalg.eig(u[np.ix_(even, odd)] @ b)
+        root = np.sqrt(mu.astype(complex))
+        partner = (b @ w) / root
+        plus = slice(sector * half, sector * half + q)
+        minus = slice(sector * half + q, (sector + 1) * half)
+        values[plus], values[minus] = root, -root
+        vectors[even, plus] = vectors[even, minus] = w
+        vectors[odd, plus], vectors[odd, minus] = partner, -partner
+    vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
+    return _certify(values, vectors, walk_apply(op, vectors), op.abs_norm(), op.max_row_nonzeros())
 
 
 def circular_arg_distance_loop(a, b) -> float:

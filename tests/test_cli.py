@@ -348,7 +348,7 @@ class TestPropertiesCommand:
 
     def test_two_eigensolves_per_command(self, capsys, monkeypatch):
         # one operator for the spectrum at alpha, one at 1 - alpha, each solved
-        # as its two q x q reflection sectors
+        # as one stacked eig of its two q x q reflection sectors
         real_eig = np.linalg.eig
         shapes = []
 
@@ -359,7 +359,7 @@ class TestPropertiesCommand:
         monkeypatch.setattr(np.linalg, "eig", spy)
         code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
-        assert shapes == [(5, 5)] * 4
+        assert shapes == [(2, 5, 5)] * 2
 
     def test_one_operator_build_per_fraction(self, capsys, monkeypatch):
         # alpha's build serves its spectrum and the gauge residual; the other is 1 - alpha
@@ -474,6 +474,29 @@ class TestNonFiniteSpinor:
         assert "finite" in err
         assert out == ""
         assert list(_output_dir.iterdir()) == []
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_command_writes_identical_bytes(self, tmp_path, capsys):
+        written = []
+        for _ in range(2):
+            code, out, _ = run(["properties", "--alpha", "3/20"], capsys)
+            assert code == 0
+            written.append(open(out.strip(), "rb").read())
+        assert written[0] == written[1]
+
+    def test_repeated_usage_error_gives_the_same_message(self, capsys):
+        results = [run(["evolve", "--alpha", "1/4", "--nope"], capsys) for _ in range(2)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 1
+        assert out == ""
+        assert err.startswith("iqwalk: unrecognized arguments: --nope")
 
 
 class TestUsageExit:

@@ -34,9 +34,11 @@ from oracles import (
     build_trig_loop,
     circular_arg_distance_loop,
     complex_eigenpairs,
+    lifted_walk_eigenpairs,
     mp_residuals,
     mp_walk_operator,
     parity_split_eigenpairs,
+    walk_apply,
 )
 
 QUARTET = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -149,6 +151,55 @@ class TestFactorChecks:
         with pytest.raises(ConvergenceError, match="not a permutation"):
             _check_shift(target)
 
+    def test_cycle_off_the_reflection_is_rejected(self):
+        # i -> i + 1 mod 12 is a single 12-cycle, but J maps it to i -> i - 1
+        with pytest.raises(ConvergenceError, match="commute with J"):
+            _check_shift((np.arange(12) + 1) % 12)
+
+
+class TestLayout:
+    """_layout proves J-symmetry, the parity zero pattern and a one-to-one fill, once per q."""
+
+    @staticmethod
+    def cw(q=3):
+        layout = spectral._frame(q).layouts["CW"]
+        return layout.columns.copy(), np.arange(4 * q)
+
+    def test_walk_layouts_pass(self):
+        for q in range(1, 21):
+            frame = spectral._frame(q)
+            for order, rows in (("CW", np.arange(4 * q)), ("WC", frame.target)):
+                layout = frame.layouts[order]
+                rebuilt = spectral._layout(layout.columns, rows)
+                assert all(
+                    np.array_equal(getattr(rebuilt, name), getattr(layout, name))
+                    for name in ("columns", "source", "scale", "slots", "picks", "signs")
+                )
+                # every entry of the first 2q rows but the corner's placeholder
+                # and the sine of site 0 fills its own slot
+                assert len(layout.slots) == 4 * q - 2
+
+    def test_equal_parity_column_is_rejected(self):
+        # row 4 reads its own index, and row 7 = J(4) its own: J-symmetric,
+        # but both couple a site to itself
+        columns, rows = self.cw()
+        columns[1, 4], columns[1, 7] = 4, 7
+        with pytest.raises(ConvergenceError, match="equal-parity"):
+            spectral._layout(columns, rows)
+
+    def test_pattern_off_the_reflection_is_rejected(self):
+        columns, rows = self.cw()
+        columns[1, 4] = columns[1, 6]
+        with pytest.raises(ConvergenceError, match="commute with J"):
+            spectral._layout(columns, rows)
+
+    def test_shared_slot_is_rejected(self):
+        # row 3's two entries in one column, and row 8 = J(3) likewise
+        columns, rows = self.cw()
+        columns[1, 3], columns[1, 8] = columns[0, 3], columns[0, 8]
+        with pytest.raises(ConvergenceError, match="one slot twice"):
+            spectral._layout(columns, rows)
+
 
 class TestEigenvalues:
     def test_identity(self):
@@ -243,7 +294,7 @@ class TestParitySplit:
         eigenpairs(walk_operator(3, 5, "CW"))
         eigenpairs(walk_operator(3, 5, "WC"))
         eigenpairs(walk_operator(3, 5).astype(complex))  # zero imaginary part
-        assert eig_calls == [((5, 5), np.float64)] * 6
+        assert eig_calls == [((2, 5, 5), np.float64)] * 3
 
     @pytest.mark.parametrize(
         "matrix",
@@ -272,15 +323,15 @@ class TestParitySplit:
         # swaps 0 <-> 1 and 2 <-> 3: each couples an even-site index to an
         # odd one, and the reversal 0 <-> 3, 1 <-> 2 maps the pairs onto each other
         values, _, _ = eigenpairs(np.eye(4)[[1, 0, 3, 2]])
-        assert eig_calls == [((1, 1), np.float64)] * 2
+        assert eig_calls == [((2, 1, 1), np.float64)]
         assert np.allclose(values, [1.0, 1.0, -1.0, -1.0])
 
-    def test_every_spectrum_up_to_q20_takes_two_sector_solves(self, eig_calls):
+    def test_every_spectrum_up_to_q20_takes_one_stacked_sector_solve(self, eig_calls):
         for f in butterfly_fractions(20):
             for order in ("CW", "WC"):
                 eig_calls.clear()
                 spectrum(f, order)
-                assert eig_calls == [((f.q, f.q), np.float64)] * 2, f"{f} {order}"
+                assert eig_calls == [((2, f.q, f.q), np.float64)], f"{f} {order}"
 
     def test_matches_the_parity_split_oracle_for_every_fraction_up_to_q20(self):
         for f in butterfly_fractions(20):
@@ -320,7 +371,7 @@ class TestParitySplit:
 
     def test_off_circle_eigenvalues_are_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            np.linalg, "eig", lambda m: (1.5 * np.ones(len(m)), np.zeros_like(m))
+            np.linalg, "eig", lambda m: (1.5 * np.ones(m.shape[:-1]), np.zeros_like(m))
         )
         with pytest.raises(ConvergenceError, match="modulus"):
             eigenpairs(walk_operator(1, 2))
@@ -337,18 +388,25 @@ class TestParitySplit:
 
 
 class TestResidualDisks:
-    def test_spectrum_carries_the_eigenpair_radii(self):
+    def test_spectrum_carries_the_eigenpair_radii(self, eig_calls):
         f = QuarterFraction(3, 5)
         coin, shift = build_matrices(f)
         values, vectors, radii = eigenpairs(coin @ shift)
         assert np.array_equal(values, eigenvalues(coin @ shift))
         assert vectors.shape == (20, 20)
         assert np.all(radii > 0.0)
+        # each operator takes one stacked solve of both sectors' q x q products
+        assert eig_calls == [((2, 5, 5), np.float64)] * 2
+        eig_calls.clear()
         spec = spectrum(f)
-        walk_values, _, walk_radii = spectral._walk_eigenpairs(spectral._walk_operator(f, "CW"))
+        assert eig_calls == [((2, 5, 5), np.float64)]
+        walk_values, walk_args, walk_radii = spectral._walk_eigenvalues(
+            spectral._walk_operator(f, "CW")
+        )
         # the dense matrix and the factors give the same sector blocks, so the same solve
         assert np.array_equal(spec.eigenvalues, values)
         assert np.array_equal(spec.eigenvalues, walk_values)
+        assert np.array_equal(spec.args, walk_args)
         assert np.array_equal(spec.radii, walk_radii + OPERATOR_ERROR)
 
     def test_doubled_eigenvalue_fails_the_certificate(self):
@@ -364,30 +422,105 @@ class TestResidualDisks:
         assert 0.0 < bound < measured
 
 
+def product_error(op, values):
+    # sqrt(2) gamma_{k+2} (||U||_abs + |lambda|), the fl(M v) term of the radii (eigenpairs)
+    k = op.max_row_nonzeros()
+    return math.sqrt(2.0) * spectral._gamma(k + 2) * (op.abs_norm() + np.abs(values))
+
+
 class TestStructuredCertificate:
-    """spectrum() checks its eigenpairs on the operator's factors, in O(n) per vector."""
+    """spectrum() certifies each reflection sector on its q x q blocks."""
 
     @pytest.mark.parametrize("order", ["CW", "WC"])
     def test_perturbed_coin_fails_the_residual_gate(self, monkeypatch, order):
+        # cos[2] moves in the sector blocks after the solve: the certificate
+        # must apply the blocks, not trust the eigensolver
         op = spectral._walk_operator(QuarterFraction(3, 5), order)
-        real_solve = spectral._sector_eig
+        layout = op.frame.layouts[order]
+        real_blocks, real_eig = spectral._WalkOperator.sector_blocks, np.linalg.eig
+        built = []
 
-        def solve_then_perturb(*args):
-            pairs = real_solve(*args)
-            op.cos[2] += 1e-8
+        def keep(self):
+            built.append(real_blocks(self))
+            return built[-1]
+
+        def solve_then_perturb(m):
+            pairs = real_eig(m)
+            built[0].reshape(2, -1)[:, layout.slots[layout.picks == 2 + 2]] += 1e-8
             return pairs
 
-        monkeypatch.setattr(spectral, "_sector_eig", solve_then_perturb)
+        monkeypatch.setattr(spectral._WalkOperator, "sector_blocks", keep)
+        monkeypatch.setattr(np.linalg, "eig", solve_then_perturb)
         with pytest.raises(ConvergenceError, match="residual"):
-            spectral._walk_eigenpairs(op)
+            spectral._walk_eigenvalues(op)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("order", ["CW", "WC"])
+    @pytest.mark.parametrize("array", ["cos", "sin"])
+    def test_broken_reflection_symmetry_is_rejected(self, order, array):
+        # negating one coin entry off site 0 keeps the coin a rotation but
+        # breaks J U J = U, on which the sector split rests
+        f = QuarterFraction(3, 5)
+        for j in [j for j in range(2 * f.q - 1) if j != f.q - 1]:
+            op = spectral._walk_operator(f, order)
+            getattr(op, array)[j] *= -1.0
+            with pytest.raises(ConvergenceError, match="commute with J"):
+                spectral._spectrum_of(f, op)
+
+    def test_blocks_are_the_dense_sector_blocks(self):
+        # A+- and B+- bitwise equal the blocks of U11 +- U12 K of the dense
+        # product, which is zero on the equal-parity blocks
+        for f in butterfly_fractions(20):
+            coin, shift = build_matrices(f)
+            half = 2 * f.q
+            odd = (np.arange(half) + 1) // 2 % 2 == 1
+            for order, m in (("CW", coin @ shift), ("WC", shift @ coin)):
+                blocks = spectral._walk_operator(f, order).sector_blocks()
+                assert blocks.shape == (2, 2, f.q, f.q)
+                for sector, sign in enumerate((1.0, -1.0)):
+                    u = m[:half, :half] + sign * m[:half, half:][:, ::-1]
+                    assert not u[np.ix_(odd, odd)].any() and not u[np.ix_(~odd, ~odd)].any()
+                    a, b = u[np.ix_(~odd, odd)], u[np.ix_(odd, ~odd)]
+                    assert blocks[sector, 0].tobytes() == a.tobytes(), f"{f} {order} A"
+                    assert blocks[sector, 1].tobytes() == b.tobytes(), f"{f} {order} B"
+
+    def test_matches_the_lifted_oracle_for_every_fraction_up_to_q20(self):
+        # eigenvalues and args bitwise; radii within the slack below
+        for f in butterfly_fractions(20):
+            for order in ("CW", "WC"):
+                op = spectral._walk_operator(f, order)
+                values, args, radii = spectral._walk_eigenvalues(op)
+                ref_values, _, ref_radii = lifted_walk_eigenpairs(op)
+                ref_args = np.angle(ref_values)
+                ref_args[ref_args == -np.pi] = np.pi
+                assert values.tobytes() == ref_values.tobytes(), f"{f} {order}"
+                assert args.tobytes() == ref_args.tobytes(), f"{f} {order}"
+                # both radii bound the exact residual of (nearly) the same
+                # vector, up to one product error each; the vectors' B w / root
+                # halves may differ by roundings of B w (real or complex
+                # product), worth less than one more; and gamma_{4q+8} covers
+                # the relative roundings of either radius
+                slack = 3.0 * product_error(op, values) + spectral._gamma(4 * f.q + 8) * (
+                    radii + ref_radii
+                )
+                assert np.all(np.abs(radii - ref_radii) <= slack), f"{f} {order}"
+                # and no radius falls below its product-error term, with U's k and ||U||_abs
+                assert np.all(radii >= product_error(op, values)), f"{f} {order}"
+                # -lambda has bitwise the radius of lambda (_walk_eigenvalues); the
+                # oracle, which evaluates both pairs, agrees
+                for vals, rads in ((values, radii), (ref_values, ref_radii)):
+                    radius_of = dict(zip(vals.tolist(), rads.tolist()))
+                    assert len(radius_of) == 4 * f.q
+                    assert all(radius_of[-v] == r for v, r in radius_of.items()), f"{f} {order}"
 
     def test_residual_is_within_rounding_of_the_dense_product(self):
+        # the lifted oracle's O(n) factor apply against the dense product
         for f in butterfly_fractions(12):
             coin, shift = build_matrices(f)
             for order, m in (("CW", coin @ shift), ("WC", shift @ coin)):
                 op = spectral._walk_operator(f, order)
-                values, vectors, _ = spectral._walk_eigenpairs(op)
-                structured = np.linalg.norm(op.apply(vectors) - vectors * values, axis=0)
+                values, vectors, _ = lifted_walk_eigenpairs(op)
+                structured = np.linalg.norm(walk_apply(op, vectors) - vectors * values, axis=0)
                 dense = np.linalg.norm(m @ vectors - vectors * values, axis=0)
                 # each is within sqrt(2) gamma_{k+2} (||U||_abs + |lambda|) ||v|| of
                 # the exact residual, up to relative roundings (eigenpairs)
@@ -396,13 +529,9 @@ class TestStructuredCertificate:
                 magnitudes = np.abs(m)
                 dense_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
                 assert abs(op.abs_norm() - dense_norm) <= 2.0**-52 * dense_norm
-                product_error = (
-                    math.sqrt(2.0)
-                    * spectral._gamma(k + 2)
-                    * (op.abs_norm() + np.abs(values))
-                    * np.linalg.norm(vectors, axis=0)
-                )
-                bound = 2.0 * product_error + spectral._gamma(len(m) + 8) * (structured + dense)
+                bound = 2.0 * product_error(op, values) * np.linalg.norm(
+                    vectors, axis=0
+                ) + spectral._gamma(len(m) + 8) * (structured + dense)
                 assert np.all(np.abs(structured - dense) <= bound), f"{f} {order}"
 
 
