@@ -41,7 +41,7 @@ from .errors import (
     RationalInputError,
     UsageError,
 )
-from .exact_trig import QuarterFraction
+from .exact_trig import TRIG_Q_MAX, QuarterFraction
 from .precision import NAMED_CONSTANTS, RealEnclosure
 from .spectral import butterfly, property_report, spectrum
 from .walk import DEFAULT_SPINOR, distribution, evolve, initial_state
@@ -73,7 +73,10 @@ def parse_alpha(text: str) -> ParsedAlpha:
     Fractions whose literal denominator is a multiple of 4 must have an
     odd, coprime numerator (the quarter-fraction family); other
     fractions are general rationals.  Decimals are exact rationals for
-    walk commands but +-1 unit in the last place for approximation.
+    walk commands but +-1 unit in the last place for approximation.  A
+    rational whose reduced denominator exceeds TRIG_Q_MAX is rejected:
+    every coin angle modulus is at most that denominator, so up to it
+    exact trig evaluates them all.
     """
     text = text.strip()
     if text in NAMED_CONSTANTS:
@@ -87,6 +90,7 @@ def parse_alpha(text: str) -> ParsedAlpha:
             raise UsageError(f"malformed fraction {text!r}") from None
         if den <= 0 or num <= 0:
             raise UsageError(f"alpha must be a positive fraction, got {text!r}")
+        _check_denominator(text, Fraction(num, den))
         if den % 4 == 0:
             try:
                 f = QuarterFraction(num, den // 4)
@@ -106,9 +110,17 @@ def parse_alpha(text: str) -> ParsedAlpha:
         ) from None
     if value <= 0:
         raise UsageError(f"alpha must be positive, got {text!r}")
+    _check_denominator(text, value)
     return ParsedAlpha(
         text, None, value, RealEnclosure.from_decimal(text, uncertainty_last_place=1)
     )
+
+
+def _check_denominator(text: str, value: Fraction) -> None:
+    if value.denominator > TRIG_Q_MAX:
+        raise UsageError(
+            f"alpha {text!r} has a denominator above 2**1022, beyond double-precision coin angles"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,6 @@ def _build_parser() -> _Parser:
         if qmax:
             s.add_argument("--qmax", "--q-max", dest="q_max", type=int, default=50)
         s.add_argument("--output", default=None, help="output path")
-        s.add_argument("--format", choices=("csv", "json"), default=None)
         return s
 
     add("evolve", "evolve a walker and write its distribution", alpha=True, walk=True)
@@ -208,11 +219,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     """Strictly validate argv into a RunConfig; raises UsageError."""
     ns = _build_parser().parse_args(list(argv))
     command = ns.command
-    fmt = ns.format or _NATURAL_FORMAT[command]
-    if fmt != _NATURAL_FORMAT[command]:
-        raise UsageError(
-            f"{command} writes {_NATURAL_FORMAT[command]}, not {fmt}"
-        )
+    fmt = _NATURAL_FORMAT[command]
     alpha = parse_alpha(ns.alpha) if getattr(ns, "alpha", None) else None
     coins = getattr(ns, "coins", "rotational")
     seed = getattr(ns, "seed", None)

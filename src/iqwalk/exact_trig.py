@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "TRIG_ERROR_BOUND",
+    "TRIG_Q_MAX",
     "QuarterFraction",
     "half_pi_cos_sin",
     "quarter_trig_table",
@@ -37,6 +38,16 @@ _ROOT_HALF = math.sqrt(0.5)  # correctly rounded; libm cos/sin of pi/4 disagree 
 # |d cos/dx|, |d sin/dx| <= 1 carry into the value; libm's cos/sin add at most
 # 1 ulp, which is at most u for values below 1.  (3*pi/4 + 1) u < 4u.
 TRIG_ERROR_BOUND = 4 * 2.0**-53
+
+# The largest q that half_pi_cos_sin accepts.  The bound above needs every
+# operand of x = math.pi * r / (2.0 * q) finite and x normal, for each
+# 0 < r < q.  For q <= 2**1022: 2.0 * q <= 2**1023 and math.pi * r <=
+# math.pi * 2**1022 < 2**1024 are finite (float(r) <= float(q) <= 2**1022,
+# as rounding is monotone), and x >= math.pi * 2**-1023 > 2**-1022 is normal.
+# math.pi * (q - 1) overflows from about 1.27 * 2**1022, and 2.0 * q from
+# 2**1023 (int to float raises OverflowError from 2**1024), so 2**1022 is
+# the largest power of two for which all of it holds.
+TRIG_Q_MAX = 2**1022
 
 
 @dataclass(frozen=True)
@@ -108,9 +119,12 @@ def half_pi_cos_sin(k: int, q: int) -> tuple[float, float]:
 
     Exact cases: k mod 2q == 0 gives (+-1.0, 0.0) and k mod 2q == q
     gives (0.0, +-1.0), as literal floats with no rounding residue.
+    q must lie in [1, TRIG_Q_MAX].
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
+    if q > TRIG_Q_MAX:
+        raise ValueError(f"q must be at most 2**1022, got one of {q.bit_length()} bits")
     k %= 4 * q
     quadrant, r = divmod(k, q)
     if r == 0:

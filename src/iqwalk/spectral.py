@@ -355,35 +355,9 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Same contracts as eigenvalues().  The disk of radius radii[i] + e
     about values[i] holds at least one exact eigenvalue of every normal U
     with ||matrix - U||_2 <= e; with e = 0, of the matrix itself if it is
-    exactly normal.
-
-    The walk operators are solved by reflection sector, as two real q x q
-    eigenproblems.  In the basis ordering of the module docstring index i
-    sits at site (i + 1) // 2 - q, and the reversal J: i <-> 4q - 1 - i
-    maps (n, L) to (-n, R).  J S J = S for the shift, and J C J = C for
-    the coin: swapping L and R turns a rotation by theta into one by
-    -theta, and the coin angle is odd in n.  So a walk operator U equals
-    U[::-1, ::-1], and with K the 2q x 2q reversal and U11, U12 the two
-    upper blocks it is U+ (+) U- on the vectors (x, +-K x), where U+- =
-    U11 +- U12 K.  For the walk operators U11 and U12 K have disjoint
-    nonzero patterns, so U+- hold U's floats with no rounded sum.
-    Site parity splits the indices into E, those of the parity of the
-    corner site -q, and O, the rest; J keeps the parity of a site.  A walk
-    operator only couples neighbouring sites, so it is exactly zero on
-    E x E and O x O: the parity gauge identity G U G^-1 = -U (gauge_check)
-    is this zero pattern.  So each U+- is [[0, A], [B, 0]] on the first
-    half's E and O, q indices each, and each eigenpair (mu, w) of the
-    real q x q matrix AB gives (+-sqrt(mu), x = (w, +-B w / sqrt(mu))),
-    and x lifts to the eigenvector (x, +-K x) of U, with its sector's sign.
-    Both sectors take one np.linalg.eig call on the stacked (2, q, q)
-    products A+-B+- (_sector_solve).
-
-    A matrix takes this path when it is real, its dimension is a multiple
-    of 4, it is exactly zero on both equal-parity blocks and it equals
-    m[::-1, ::-1]: O(n^2) array tests.  Every other matrix takes a complex
-    eigensolve of the whole matrix.  Either way the checks below run on
-    the whole matrix, so the certificate does not depend on how the pairs
-    were found.
+    exactly normal.  Every matrix takes one complex eigensolve of the
+    whole matrix; walk operators are solved by spectrum(), sector by
+    sector (_walk_eigenvalues), under the same certificate.
 
     U is normal, so for any v != 0 some eigenvalue of U lies within
     ||U v - lambda v|| / ||v|| of lambda (Bauer-Fike with condition number
@@ -409,34 +383,22 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     - ||(U - M) v|| <= e ||v||.
     This assumes IEEE double arithmetic with standard complex products (not
     the 3M method) and costs O(n^2) on top of the solve.
-
-    spectrum() runs the same stacked sector solve on a walk operator held
-    as its factors, so its eigenvalues are bitwise those of this function
-    for the same operator, and certifies each sector on its own
-    (_walk_eigenvalues), with no 4q-entry vector.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    n = len(m)
-    odd = _odd_sites(n)
-    sectors = (
-        n > 0
-        and n % 4 == 0
-        and not (np.iscomplexobj(m) and m.imag.any())
-        and not m[odd[:, None] == odd[None, :]].any()
-        and np.array_equal(m[::-1, ::-1], m)
-    )
-    m = m.real.astype(float) if sectors else m.astype(complex)
+    if m.size == 0:
+        raise ValueError("matrix must not be empty")
+    m = m.astype(complex)
     defect = unitarity_defect(m)
     if not defect <= UNITARITY_PRE_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    values, vectors = _lifted_sector_eig(m) if sectors else _eig(m)
+    values, vectors = _eig(m)
     magnitudes = np.abs(m)
     abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
     k = int(np.count_nonzero(m, axis=1).max())
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    radii = _radii(values, residuals, np.linalg.norm(vectors, axis=0), abs_norm, k, n)
+    radii = _radii(values, residuals, np.linalg.norm(vectors, axis=0), abs_norm, k, len(m))
     order = np.argsort(_principal_args(values), kind="stable")
     return values[order], vectors[:, order], radii[order]
 
@@ -472,71 +434,54 @@ def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _odd_sites(n: int) -> np.ndarray:
-    # O of eigenpairs: basis indices whose site parity differs from that of -q
+    # O of _walk_eigenvalues: basis indices whose site parity differs from that of -q
     return (np.arange(n) + 1) // 2 % 2 == 1
-
-
-def _sector_solve(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(root, w, B w, partner) of the stacked sectors [[0, A], [B, 0]] (eigenpairs).
-
-    a and b are (2, q, q).  One eig of the stacked products AB gives each
-    sector's eigenvectors w and eigenvalues mu = root**2; column j of
-    (w, partner), partner = B w / root, is an eigenvector for root[:, j].
-    """
-    mu, w = _eig(a @ b)
-    root = np.sqrt(mu.astype(complex))
-    bw = b @ w
-    return root, w, bw, bw / root[:, None, :]
-
-
-def _lifted_sector_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a dense J-symmetric real m, by one sector solve, lifted to all n entries (eigenpairs)."""
-    n = len(m)
-    half = n // 2
-    odd_sites = _odd_sites(half)
-    even, odd = np.flatnonzero(~odd_sites), np.flatnonzero(odd_sites)
-    u11, u12k = m[:half, :half], m[:half, half:][:, ::-1]
-    u = np.stack([u11 + u12k, u11 - u12k])
-    root, w, _, partner = _sector_solve(u[:, even[:, None], odd], u[:, odd[:, None], even])
-    values = np.stack([root, -root], axis=1).ravel()
-    vectors = np.empty((n, n), dtype=complex)
-    for sector in range(2):
-        columns = slice(sector * half, (sector + 1) * half)
-        vectors[even, columns] = np.hstack([w[sector], w[sector]])
-        vectors[odd, columns] = np.hstack([partner[sector], -partner[sector]])
-    vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
-    return values, vectors
 
 
 def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, args, radii) of a walk operator, argument-sorted, certified sector by sector.
 
-    P+-^T, with P+- = [I, +-K] / sqrt(2), maps C^2q isometrically onto
-    the vectors (x, +-K x) / sqrt(2), and J U J = U gives U22 = K U11 K
-    and U21 = K U12 K, so U = P+^T U+ P+ + P-^T U- P- with U+- =
-    P+- U P+-^T = U11 +- U12 K (eigenpairs).  Each U+- is therefore exactly unitary, and the
-    eigenvalues of U+ and U- together, with multiplicity, are U's.
-    J U J = U is proven, not assumed: the layout once per q (_layout,
-    _check_shift) and the coin values per operator (sector_blocks).
-    sector_blocks writes every nonzero of U's first 2q rows to its own
-    slot, so A+- and B+- hold U's floats exactly, and the zero pattern
-    proven by _layout makes U+- = [[0, A+-], [B+-, 0]] on (E, O).
+    The walk operators are solved by reflection sector, as two real q x q
+    eigenproblems.  In the basis ordering of the module docstring index i
+    sits at site (i + 1) // 2 - q, and the reversal J: i <-> 4q - 1 - i
+    maps (n, L) to (-n, R).  J S J = S for the shift, and J C J = C for
+    the coin: swapping L and R turns a rotation by theta into one by
+    -theta, and the coin angle is odd in n.  J U J = U is proven, not
+    assumed: the layout once per q (_layout, _check_shift) and the coin
+    values per operator (sector_blocks).
+
+    With K the 2q x 2q reversal and U11, U12, U21, U22 the blocks of U,
+    J U J = U gives U22 = K U11 K and U21 = K U12 K.  P+-^T, with P+- =
+    [I, +-K] / sqrt(2), maps C^2q isometrically onto the vectors
+    (x, +-K x) / sqrt(2), so U = P+^T U+ P+ + P-^T U- P- with U+- =
+    P+- U P+-^T = U11 +- U12 K.  Each U+- is therefore exactly unitary,
+    and the eigenvalues of U+ and U- together, with multiplicity, are U's.
+    Site parity splits the indices into E, those of the parity of the
+    corner site -q, and O, the rest; J keeps the parity of a site.  A walk
+    operator only couples neighbouring sites, so it is exactly zero on
+    E x E and O x O: the parity gauge identity G U G^-1 = -U (gauge_check)
+    is this zero pattern.  sector_blocks writes every nonzero of U's first
+    2q rows to its own slot, so A+- and B+- hold U's floats with no
+    rounded sum, and the zero pattern proven by _layout makes U+- =
+    [[0, A+-], [B+-, 0]] on the first half's E and O, q indices each.
+    Each eigenpair (mu, w) of the real q x q matrix AB gives the pair
+    (+-sqrt(mu), x = (w, +-p)), p = B w / sqrt(mu), of its sector, and x
+    lifts to the eigenvector (x, +-K x) of U.  Both sectors take one
+    np.linalg.eig call on the stacked (2, q, q) products A+-B+-.
 
     The certificate of eigenpairs then holds in each sector, with n = 2q
     and the same k and ||.||_abs:
     - Bauer-Fike: U+- is normal, so some eigenvalue of U+- lies within
       ||U+- x - lambda x|| / ||x|| of lambda for any x != 0.
     - For x = (w, p) the float residual is (fl(A p) - fl(w lambda),
-      fl(B w) - fl(p lambda)), and fl(B w) is the one _sector_solve
-      already made.  The rows of A and B are rows of U with their entries
-      moved to distinct columns, so each holds at most k nonzeros and
-      the fl(M v) bullet holds with ||U+-||_abs.  That is at most
-      op.abs_norm() = ||U||_abs: a row sum of |U+-| is a row sum of |U|,
-      and column j of |U+-| holds columns j and 4q - 1 - j of the first
-      2q rows of |U|, where |U[i, 4q - 1 - j]| = |U[4q - 1 - i, j]| by
-      J-symmetry, so its sum is the whole column sum j of |U|.
+      fl(B w) - fl(p lambda)), and fl(B w) is the one that gave p.  The
+      rows of A and B are rows of U with their entries moved to distinct
+      columns, so each holds at most k nonzeros and the fl(M v) bullet
+      holds with ||U+-||_abs.  That is at most op.abs_norm() = ||U||_abs:
+      a row sum of |U+-| is a row sum of |U|, and column j of |U+-| holds
+      columns j and 4q - 1 - j of the first 2q rows of |U|, where
+      |U[i, 4q - 1 - j]| = |U[4q - 1 - i, j]| by J-symmetry, so its sum is
+      the whole column sum j of |U|.
     - ||x|| and the residual norm are hypot of the norms of their two
       halves; hypot adds one rounding to the relative error of a norm of
       2q entries, which gamma_{n+8} absorbs.
@@ -555,8 +500,11 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     blocks = op.sector_blocks()
     a, b = blocks[:, 0], blocks[:, 1]
-    root, w, bw, partner = _sector_solve(a, b)
+    mu, w = _eig(a @ b)
+    root = np.sqrt(mu.astype(complex))
     lam = root[:, None, :]
+    bw = b @ w
+    partner = bw / lam
     residuals = np.hypot(
         np.linalg.norm(a @ partner - w * lam, axis=1),
         np.linalg.norm(bw - partner * lam, axis=1),
@@ -621,6 +569,8 @@ def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float
     eigenvalue (eigenpairs), so n disjoint disks hold n distinct ones:
     every eigenvalue is simple and no exact gap is below the bound.  A
     bound <= 0 proves nothing, since two disks may share an eigenvalue.
+    With fewer than two values there is no pair, and both are inf: the
+    minimum over an empty set, and a single eigenvalue is simple.
     """
     diffs = np.abs(values[:, None] - values[None, :])
     off_diagonal = ~np.eye(len(values), dtype=bool)
@@ -628,7 +578,10 @@ def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float
     lower = diffs * (1.0 - _gamma(4)) - (radii[:, None] + radii[None, :]) * (
         1.0 + _gamma(2)
     )
-    return float(diffs[off_diagonal].min()), float(lower[off_diagonal].min())
+    return (
+        float(diffs[off_diagonal].min(initial=math.inf)),
+        float(lower[off_diagonal].min(initial=math.inf)),
+    )
 
 
 def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -741,7 +694,7 @@ def gauge_check(f: QuarterFraction) -> float:
 
     The operator only couples neighbouring sites, so the gauge flip of
     every nonzero entry is exact and the returned value must be 0.0
-    with no tolerance.  This is the zero pattern eigenpairs splits on.
+    with no tolerance.  This is the zero pattern _walk_eigenvalues splits on.
     It is evaluated on the two entries of each operator row, in O(n); the
     signs are (-1)^(n + q), and a global sign leaves G U G^-1 unchanged.
     """

@@ -79,6 +79,15 @@ class TestParseAlpha:
         with pytest.raises(UsageError, match=message):
             parse_alpha(text)
 
+    @pytest.mark.parametrize("text", ["1e-400", "1e-308", f"1/{4 * 10**320}", f"3/{10**310}"])
+    def test_rejects_a_denominator_beyond_double_trig(self, text):
+        with pytest.raises(UsageError, match=r"denominator above 2\*\*1022"):
+            parse_alpha(text)
+
+    def test_largest_denominator_is_accepted(self):
+        assert parse_alpha(f"1/{2**1022}").walk_value == QuarterFraction(1, 2**1020)
+        assert parse_alpha("1e-300").walk_value == Fraction(1, 10**300)
+
 
 class TestParseArgs:
     def test_evolve_defaults(self, tmp_path):
@@ -128,7 +137,7 @@ class TestParseArgs:
         [
             (["evolve"], "--alpha"),
             (["evolve", "--alpha", "1/4", "--bogus"], "unrecognized"),
-            (["evolve", "--alpha", "1/4", "--format", "json"], "writes csv"),
+            (["evolve", "--alpha", "1/4", "--format", "json"], "unrecognized"),
             (["spectrum", "--alpha", "1/6"], "quarter fraction"),
             (["duality-check", "--alpha", "golden"], "quarter fraction"),
             (["properties", "--alpha", "0.33"], "quarter fraction"),
@@ -509,3 +518,13 @@ class TestUsageExit:
         code, _, err = run(["evolve", "--alpha", "2/12"], capsys)
         assert code == 1
         assert "odd" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "recurrence", "spread"])
+    @pytest.mark.parametrize("alpha", ["1e-400", f"1/{4 * 10**320}"])
+    def test_huge_denominator_exits_one_with_one_line(self, capsys, _output_dir, command, alpha):
+        code, out, err = run([command, "--alpha", alpha, "--steps", "8"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("iqwalk: ") and err.count("\n") == 1
+        assert "denominator above 2**1022" in err
+        assert list(_output_dir.iterdir()) == []

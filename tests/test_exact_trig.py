@@ -1,13 +1,15 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iqwalk import QuarterFraction, fraction_cos_sin, half_pi_cos_sin, trig_pair_exact
-from iqwalk.exact_trig import quarter_trig_table
+from iqwalk.exact_trig import TRIG_ERROR_BOUND, TRIG_Q_MAX, quarter_trig_table
 from oracles import mp_cos_sin
 
 
@@ -143,6 +145,38 @@ class TestFractionTurns:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             half_pi_cos_sin(1, 0)
+
+
+class TestLargestModulus:
+    """q <= TRIG_Q_MAX = 2**1022 keeps pi * r / (2.0 * q) finite and normal."""
+
+    @pytest.mark.parametrize("q", [10**308, 10**400, TRIG_Q_MAX + 1])
+    def test_rejects_q_above_the_bound(self, q):
+        with pytest.raises(ValueError, match="at most 2"):
+            half_pi_cos_sin(1, q)
+        with pytest.raises(ValueError, match="at most 2"):
+            fraction_cos_sin(Fraction(1, 4 * q))
+
+    @pytest.mark.parametrize("q", [10**300, 3**600, TRIG_Q_MAX])
+    def test_values_inside_the_bound_are_the_first_quadrant_formula(self, q):
+        # what half_pi_cos_sin evaluated before the bound, bitwise, and
+        # within TRIG_ERROR_BOUND of the exact value
+        for r in (1, 7, q // 3, q // 2 - 1, q // 2 + 1, q - 1):
+            x = math.pi * min(r, q - r) / (2.0 * q)
+            assert math.isfinite(x) and x >= sys.float_info.min
+            expected = (math.cos(x), math.sin(x)) if 2 * r < q else (math.sin(x), math.cos(x))
+            assert half_pi_cos_sin(r, q) == expected
+            with mpmath.workdps(30):
+                exact = mpmath.cos_sin(mpmath.pi * r / (2 * mpmath.mpf(q)))
+            for value, ref in zip(expected, exact):
+                assert abs(value - ref) <= TRIG_ERROR_BOUND
+
+    def test_bound_is_where_the_operands_leave_the_normal_range(self):
+        q = TRIG_Q_MAX
+        assert math.isfinite(2.0 * q) and math.isfinite(math.pi * (q - 1))
+        assert math.pi / (2.0 * q) >= sys.float_info.min
+        assert math.isinf(2.0 * (2 * q))
+        assert math.isinf(math.pi * (2 * q - 1))
 
 
 class TestQuarterTrigTable:

@@ -210,6 +210,10 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="square"):
             eigenvalues(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            eigenpairs(np.zeros((0, 0)))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             eigenvalues(2.0 * np.eye(3))
@@ -287,18 +291,17 @@ def eig_calls(monkeypatch):
 
 
 class TestParitySplit:
-    """Real unitaries that commute with the reversal J and are zero on the
-    site-parity blocks are solved as two real q x q sector blocks A+-B+-."""
-
-    def test_walk_operators_take_the_sector_solve(self, eig_calls):
-        eigenpairs(walk_operator(3, 5, "CW"))
-        eigenpairs(walk_operator(3, 5, "WC"))
-        eigenpairs(walk_operator(3, 5).astype(complex))  # zero imaginary part
-        assert eig_calls == [((2, 5, 5), np.float64)] * 3
+    """spectrum() solves a walk operator as two real q x q sector blocks
+    A+-B+-; eigenpairs(matrix) takes one complex solve of any matrix."""
 
     @pytest.mark.parametrize(
         "matrix",
         [
+            pytest.param(walk_operator(3, 5, "CW"), id="walk CW"),
+            pytest.param(walk_operator(3, 5, "WC"), id="walk WC"),
+            pytest.param(walk_operator(3, 5).astype(complex), id="walk complex dtype"),
+            # swaps 0 <-> 1 and 2 <-> 3: on the parity pattern and J-symmetric
+            pytest.param(np.eye(4)[[1, 0, 3, 2]], id="bipartite permutation"),
             pytest.param(haar_operator(5), id="haar"),
             pytest.param(np.diag([1.0, -1.0, 1.0, -1.0]), id="diagonal"),
             pytest.param(np.diag(QUARTET), id="complex diagonal"),
@@ -319,13 +322,6 @@ class TestParitySplit:
         assert eig_calls == [(matrix.shape, np.complex128)]
         assert len(values) == len(matrix)
 
-    def test_bipartite_permutation_takes_the_sector_solve(self, eig_calls):
-        # swaps 0 <-> 1 and 2 <-> 3: each couples an even-site index to an
-        # odd one, and the reversal 0 <-> 3, 1 <-> 2 maps the pairs onto each other
-        values, _, _ = eigenpairs(np.eye(4)[[1, 0, 3, 2]])
-        assert eig_calls == [((2, 1, 1), np.float64)]
-        assert np.allclose(values, [1.0, 1.0, -1.0, -1.0])
-
     def test_every_spectrum_up_to_q20_takes_one_stacked_sector_solve(self, eig_calls):
         for f in butterfly_fractions(20):
             for order in ("CW", "WC"):
@@ -345,15 +341,27 @@ class TestParitySplit:
         # same count, args within 1e-12, and a certified verdict never weaker
         for f in butterfly_fractions(20):
             for order in ("CW", "WC"):
-                m = walk_operator(f.p, f.q, order)
-                values, _, radii = eigenpairs(m)
-                ref_values, _, ref_radii = complex_eigenpairs(m)
-                assert len(values) == len(ref_values) == 4 * f.q
-                gap = circular_arg_distance(np.angle(values), np.angle(ref_values))
+                spec = spectrum(f, order)
+                ref_values, _, ref_radii = complex_eigenpairs(walk_operator(f.p, f.q, order))
+                assert len(spec.eigenvalues) == len(ref_values) == 4 * f.q
+                gap = circular_arg_distance(spec.args, np.angle(ref_values))
                 assert gap <= 1e-12, f"{f} {order}: {gap}"
-                _, bound = eigenvalue_gaps(values, radii + OPERATOR_ERROR)
+                _, bound = eigenvalue_gaps(spec.eigenvalues, spec.radii)
                 _, ref_bound = eigenvalue_gaps(ref_values, ref_radii + OPERATOR_ERROR)
                 assert bound > 0.0 or ref_bound <= 0.0, f"{f} {order}"
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param(walk_operator(3, 5, "CW"), id="walk CW"),
+            pytest.param(walk_operator(7, 6, "WC"), id="walk WC"),
+            pytest.param(haar_operator(4), id="haar"),
+            pytest.param(np.diag(QUARTET), id="complex diagonal"),
+        ],
+    )
+    def test_eigenpairs_is_the_complex_solve_bitwise(self, matrix):
+        for got, ref in zip(eigenpairs(matrix), complex_eigenpairs(matrix)):
+            assert got.tobytes() == ref.tobytes()
 
     def test_solver_failure_is_wrapped(self, monkeypatch):
         def explode(_):
@@ -395,16 +403,14 @@ class TestResidualDisks:
         assert np.array_equal(values, eigenvalues(coin @ shift))
         assert vectors.shape == (20, 20)
         assert np.all(radii > 0.0)
-        # each operator takes one stacked solve of both sectors' q x q products
-        assert eig_calls == [((2, 5, 5), np.float64)] * 2
+        assert eig_calls == [((20, 20), np.complex128)] * 2
         eig_calls.clear()
+        # the operator takes one stacked solve of both sectors' q x q products
         spec = spectrum(f)
         assert eig_calls == [((2, 5, 5), np.float64)]
         walk_values, walk_args, walk_radii = spectral._walk_eigenvalues(
             spectral._walk_operator(f, "CW")
         )
-        # the dense matrix and the factors give the same sector blocks, so the same solve
-        assert np.array_equal(spec.eigenvalues, values)
         assert np.array_equal(spec.eigenvalues, walk_values)
         assert np.array_equal(spec.args, walk_args)
         assert np.array_equal(spec.radii, walk_radii + OPERATOR_ERROR)
@@ -420,6 +426,12 @@ class TestResidualDisks:
         measured, bound = eigenvalue_gaps(values, radii)
         assert measured == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert 0.0 < bound < measured
+
+    def test_no_pair_has_no_gap(self):
+        # one eigenvalue is simple, and the minimum over no pair is inf
+        values, _, radii = eigenpairs(np.eye(1))
+        assert eigenvalue_gaps(values, radii) == (math.inf, math.inf)
+        assert eigenvalue_gaps(np.zeros(0, dtype=complex), np.zeros(0)) == (math.inf, math.inf)
 
 
 def product_error(op, values):
@@ -547,9 +559,9 @@ class TestResidualDisksAgainstOracle:
         assert set(zip(*np.nonzero(m))) <= set(exact)
         for (i, j), value in exact.items():
             assert abs(m[i, j] - value) <= TRIG_ERROR_BOUND, f"entry {(i, j)}"
-        values, vectors, _ = eigenpairs(m)
+        values, vectors, _ = lifted_walk_eigenpairs(spectral._walk_operator(f, "CW"))
         spec = spectrum(f)
-        assert np.array_equal(values, spec.eigenvalues)
+        assert values.tobytes() == spec.eigenvalues.tobytes()
         for k, residual in enumerate(mp_residuals(exact, values, vectors)):
             assert residual <= spec.radii[k], f"eigenpair {k}: {residual} > {spec.radii[k]}"
 
