@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coins import CoinSchedule, RotationalSchedule
+from .coins import CoinSchedule, RotationalSchedule, _integer
 from .errors import LeakageError
 from .exact_trig import QuarterFraction
 from .walk import (
@@ -70,7 +70,10 @@ def finite_support_verify(
     steps: int,
     initial: tuple[complex, complex] = DEFAULT_SPINOR,
 ) -> LocalizationReport:
-    """Evolve (coin-then-shift order) and prove the walk stayed in [-q, q]."""
+    """Evolve (coin-then-shift order) and prove the walk stayed in [-q, q].
+
+    steps must be an integer; floats and bools raise TypeError.
+    """
     schedule = RotationalSchedule(f)
     state = evolve(initial, schedule, steps, order="WC")
     leak = leaked_probability(state, (-f.q, f.q))
@@ -138,8 +141,10 @@ def recurrence_series(
     """Origin probability at every step 0..t_max from one evolution.
 
     Starting at the origin, odd steps give exactly 0.0 by parity for
-    any schedule.
+    any schedule.  t_max must be an integer; floats and bools raise
+    TypeError.
     """
+    t_max = _integer(t_max, "t_max")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     state = initial_state(initial)
@@ -173,8 +178,11 @@ def spread_exponent(
     theta: float = 0.5,
     order: str = "WC",
 ) -> SpreadEstimate:
-    """Track sigma(t) and E|X_t|/t^theta over one evolution."""
-    times = sorted(set(int(t) for t in checkpoints))
+    """Track sigma(t) and E|X_t|/t^theta over one evolution.
+
+    Checkpoints must be integers; floats and bools raise TypeError.
+    """
+    times = sorted({_integer(t, "checkpoint") for t in checkpoints})
     if not times or times[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     if not math.isfinite(theta):

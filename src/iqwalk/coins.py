@@ -4,8 +4,9 @@ A schedule maps each lattice site n to a 2x2 unitary coin.  The
 rotational family uses angle 2*pi*alpha*n where alpha is the inverse
 period: a QuarterFraction (exact residue trig), a general Fraction
 (exact quadrant trig, never perfectly reflecting unless the denominator
-is a multiple of 4), or a certified irrational enclosure (mpmath trig
-at payload precision, rounded once).  Haar-random coins come from a
+is a multiple of 4), or a certified irrational enclosure (the doubles of
+mpmath trig at payload precision, rounded once, decided a span at a
+time in exact integer arithmetic).  Haar-random coins come from a
 counter-based generator keyed on (seed, site); a schedule builds them a
 whole buffer at a time, bitwise equal to haar_coin.
 """
@@ -191,7 +192,14 @@ class CoinSchedule:
     def __init__(self) -> None:
         # rows (a, b, c, d); column 0 is site _origin, sites _lo.._hi are built
         self._origin, self._lo, self._hi = 0, 0, -1
-        self._buffer = self._view = np.zeros((4, 0), dtype=complex)
+        self._buffer = np.zeros((4, 0), dtype=complex)
+        self._rows = self._read_only_rows()
+
+    def _read_only_rows(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of the buffer's four rows, taken once per buffer."""
+        view = self._buffer.view()
+        view.flags.writeable = False
+        return tuple(view)
 
     def _build_coin(self, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -221,7 +229,9 @@ class CoinSchedule:
             raise ValueError(f"empty site range {lo}..{hi}")
         if not self._lo <= lo <= hi <= self._hi:
             self._extend(lo, hi)
-        return tuple(self._view[:, lo - self._origin : hi - self._origin + 1])
+        i, j = lo - self._origin, hi - self._origin + 1
+        a, b, c, d = self._rows
+        return a[i:j], b[i:j], c[i:j], d[i:j]
 
     def _extend(self, lo: int, hi: int) -> None:
         if self._hi < self._lo:
@@ -229,10 +239,9 @@ class CoinSchedule:
         lo, hi, old = min(lo, self._lo), max(hi, self._hi), self._origin
         if lo < old or hi >= old + self._buffer.shape[1]:
             pad = (hi - lo) // 2 + 1
-            built = self._view[:, self._lo - old : self._hi - old + 1]
+            built = self._buffer[:, self._lo - old : self._hi - old + 1]
             self._buffer = np.pad(built, ((0, 0), (self._lo - lo + pad, hi - self._hi + pad)))
-            self._origin, self._view = lo - pad, self._buffer.view()
-            self._view.flags.writeable = False
+            self._origin, self._rows = lo - pad, self._read_only_rows()
         if self._fills_buffer():
             lo, hi = self._origin, self._origin + self._buffer.shape[1] - 1
         left, right = range(lo, self._lo), range(self._hi + 1, hi + 1)
@@ -281,14 +290,16 @@ class RotationalSchedule(CoinSchedule):
         return rotation_coin(c, s)
 
     def _fills_buffer(self) -> bool:
-        return self._table is not None  # gathers cost no trig
+        # gathers cost no trig, and an irrational span a few integer products per site
+        return self._table is not None or isinstance(self.alpha, RealEnclosure)
 
     def _fill(self, spans: tuple[range, range]) -> np.ndarray:
         # a rational angle depends only on num*n mod period; table entry k is bitwise
         # the per-site value.  It costs q (or b) trig calls, so it waits for a wide cache.
         f = self.alpha
         if isinstance(f, RealEnclosure):
-            return super()._fill(spans)
+            cos, sin = np.concatenate([f.cos_sin_two_pi_span(span) for span in spans], axis=1)
+            return np.array([cos, -sin, sin, cos])
         quarter = isinstance(f, QuarterFraction)
         num, period = (f.p, f.modulus) if quarter else (f.numerator, f.denominator)
         if self._table is None:

@@ -11,7 +11,8 @@ zero amplitude.
 The dense window of stored amplitudes always covers every nonzero site;
 exactly-zero boundary rows are trimmed after each step, which clamps
 the window to [-q, q] automatically whenever the schedule confines the
-walk.
+walk.  One kernel makes every forward step: `step` gives it fresh
+arrays, and `evolve` two buffers that it alternates between.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coins import CoinSchedule
+from .coins import CoinSchedule, _integer
 from .errors import EmptySupportError, NumericalDriftError
 
 __all__ = [
@@ -108,47 +109,80 @@ def initial_state(
     return WalkerState(site, np.array([[left, right]], dtype=complex), 0)
 
 
-def _trim(offset: int, amps: np.ndarray) -> tuple[int, np.ndarray]:
-    # drop exactly-zero boundary rows; keeps the window minimal
-    lo, hi = 0, len(amps)
-    while hi - lo > 1 and amps[lo, 0] == 0 and amps[lo, 1] == 0:
-        lo += 1
-    while hi - lo > 1 and amps[hi - 1, 0] == 0 and amps[hi - 1, 1] == 0:
-        hi -= 1
-    if lo == 0 and hi == len(amps):
-        return offset, amps
-    return offset + lo, amps[lo:hi].copy()
+def _state(offset: int, amps: np.ndarray, step_count: int) -> WalkerState:
+    # a WalkerState over an (N, 2) complex array that no one else writes, unvalidated
+    state = object.__new__(WalkerState)
+    state.__dict__.update(offset=offset, amplitudes=amps, step_count=step_count)
+    return state
 
 
-def _checked(offset: int, amps: np.ndarray, step_count: int) -> WalkerState:
+def _kept_rows(amps: np.ndarray, step_count: int) -> tuple[int, int]:
+    """Rows [lo, hi) of amps to keep after the drift gate: exactly-zero
+    boundary rows are dropped, which keeps the window minimal."""
     nrm = math.sqrt(np.vdot(amps, amps).real)
     if not abs(nrm - 1.0) <= DRIFT_LIMIT:
         raise NumericalDriftError(
             f"norm drifted to {nrm!r} after step {step_count}"
             f" (|1 - norm| > {DRIFT_LIMIT})"
         )
-    return WalkerState(*_trim(offset, amps), step_count)
+    lo, hi = 0, len(amps)
+    while hi - lo > 1 and not (amps[lo, 0] or amps[lo, 1]):
+        lo += 1
+    while hi - lo > 1 and not (amps[hi - 1, 0] or amps[hi - 1, 1]):
+        hi -= 1
+    return lo, hi
+
+
+def _step_into(
+    new: np.ndarray,
+    scratch: np.ndarray,
+    offset: int,
+    amps: np.ndarray,
+    schedule: CoinSchedule,
+    order: WalkOrder,
+    step_count: int,
+) -> tuple[int, int]:
+    """One step of the window amps, whose first row is site offset, into new.
+
+    new has len(amps) + 2 rows, for sites offset - 1 onwards, and every
+    entry of it is written.  scratch is a C-ordered complex array of 3
+    rows and at least len(new) columns.  Each output is a*L + b*R or
+    c*L + d*R, with every product taken between the same memory layouts
+    as a stepper over fresh arrays, so the bits do not depend on who owns
+    the buffers.  Returns the rows [lo, hi) of new that hold the next
+    window.
+    """
+    n = len(amps)
+    left, right = amps[:, 0], amps[:, 1]
+    if order == "WC":
+        a, b, c, d = schedule.coin_entries(offset, offset + n - 1)
+        tmp, out_left, out_right = scratch[0, :n], new[:n, 0], new[2:, 1]
+        np.multiply(a, left, out=out_left)
+        np.add(out_left, np.multiply(b, right, out=tmp), out=out_left)
+        np.multiply(c, left, out=out_right)
+        np.add(out_right, np.multiply(d, right, out=tmp), out=out_right)
+        new[n, 0] = new[n + 1, 0] = new[0, 1] = new[1, 1] = 0  # L lands on n-1, R on n+1
+    elif order == "CW":
+        a, b, c, d = schedule.coin_entries(offset - 1, offset + n)
+        tmp, from_right, from_left = scratch[:, : n + 2]
+        from_right[:n], from_right[n:] = left, 0  # site m sees L from m+1
+        from_left[:2], from_left[2:] = 0, right  # site m sees R from m-1
+        out_left, out_right = new[:, 0], new[:, 1]
+        np.multiply(a, from_right, out=out_left)
+        np.add(out_left, np.multiply(b, from_left, out=tmp), out=out_left)
+        np.multiply(c, from_right, out=out_right)
+        np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
+    else:
+        raise ValueError(f"unknown walk order {order!r}")
+    return _kept_rows(new, step_count)
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
     """One unitary step of the walk; returns a new state."""
-    n = len(state.amplitudes)
-    left, right = state.amplitudes.T
-    new = np.zeros((n + 2, 2), dtype=complex)
-    if order == "WC":
-        a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
-        out_left, out_right = new[0:n, 0], new[2 : n + 2, 1]  # L lands on n-1, R on n+1
-        np.add(np.multiply(a, left, out=out_left), b * right, out=out_left)
-        np.add(np.multiply(c, left, out=out_right), d * right, out=out_right)
-    elif order == "CW":
-        a, b, c, d = schedule.coin_entries(state.offset - 1, state.offset + n)
-        shifted_left = np.concatenate((left, [0, 0]))  # site m sees L from m+1
-        shifted_right = np.concatenate(([0, 0], right))  # site m sees R from m-1
-        np.add(np.multiply(a, shifted_left, out=new[:, 0]), b * shifted_right, out=new[:, 0])
-        np.add(np.multiply(c, shifted_left, out=new[:, 1]), d * shifted_right, out=new[:, 1])
-    else:
-        raise ValueError(f"unknown walk order {order!r}")
-    return _checked(state.offset - 1, new, state.step_count + 1)
+    rows, count = len(state.amplitudes) + 2, state.step_count + 1
+    new, scratch = np.empty((rows, 2), dtype=complex), np.empty((3, rows), dtype=complex)
+    lo, hi = _step_into(new, scratch, state.offset, state.amplitudes, schedule, order, count)
+    return _state(state.offset - 1 + lo, new if hi - lo == rows else new[lo:hi].copy(), count)
 
 
 def adjoint_step(
@@ -175,7 +209,9 @@ def adjoint_step(
         new[0:n, 1] = np.conj(b) * left + np.conj(d) * right
     else:
         raise ValueError(f"unknown walk order {order!r}")
-    return _checked(state.offset - 1, new, state.step_count - 1)
+    count = state.step_count - 1
+    lo, hi = _kept_rows(new, count)
+    return _state(state.offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
 
 
 def evolve(
@@ -185,13 +221,29 @@ def evolve(
     order: WalkOrder = "WC",
     site: int = 0,
 ) -> WalkerState:
-    """Evolve a walker started at `site` for the given number of steps."""
+    """Evolve a walker started at `site` for the given number of steps.
+
+    The result equals `steps` calls of `step`, byte for byte.  The
+    windows alternate between two buffers, which double when a window
+    outgrows them, up to the 2*steps + 1 rows of the widest possible
+    window, and only the final window is copied out.  steps must be an
+    integer; floats and bools raise TypeError.
+    """
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     state = initial_state(initial_spinor, site)
-    for _ in range(steps):
-        state = step(state, schedule, order)
-    return state
+    offset, amps, size = state.offset, state.amplitudes, 0
+    for count in range(1, steps + 1):
+        rows = len(amps) + 2
+        if rows > size:
+            size = min(2 * rows, 2 * steps + 1)
+            buffers = np.empty((2, size, 2), dtype=complex)
+            scratch = np.empty((3, size), dtype=complex)
+        new = buffers[count % 2, :rows]
+        lo, hi = _step_into(new, scratch, offset, amps, schedule, order, count)
+        offset, amps = offset - 1 + lo, new[lo:hi]
+    return _state(offset, amps.copy(), steps) if steps else state
 
 
 def distribution(state: WalkerState) -> dict[int, tuple[float, float, float]]:

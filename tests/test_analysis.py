@@ -77,6 +77,11 @@ class TestFiniteSupportVerify:
         report = finite_support_verify(QuarterFraction(1, 2), 50, (1.0, 0.0))
         assert report.leaked_probability == 0.0
 
+    @pytest.mark.parametrize("steps", [True, 3.0, 2.5])
+    def test_step_count_must_be_an_integer(self, steps):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            finite_support_verify(QuarterFraction(1, 2), steps)
+
 
 class TestBarrierPositions:
     def test_quarter_period_barriers_everywhere_odd(self):
@@ -167,6 +172,11 @@ class TestRecurrenceSeries:
         with pytest.raises(ValueError, match="non-negative"):
             recurrence_series(RandomSchedule(1), -1)
 
+    @pytest.mark.parametrize("t_max", [True, False, 4.0, 2.5])
+    def test_t_max_must_be_an_integer(self, t_max):
+        with pytest.raises(TypeError, match="t_max must be an integer"):
+            recurrence_series(RandomSchedule(1), t_max)
+
 
 class TestSpreadExponent:
     def test_sign_flip_schedule_is_exactly_ballistic(self):
@@ -211,6 +221,17 @@ class TestSpreadExponent:
             spread_exponent(RandomSchedule(1), [])
         with pytest.raises(ValueError, match="positive"):
             spread_exponent(RandomSchedule(1), [0, 4])
+
+    @pytest.mark.parametrize("checkpoints", [[2.5, 5.9], [4, 8.0], [True, 4]])
+    def test_checkpoints_must_be_integers(self, checkpoints):
+        # int() used to truncate [2.5, 5.9] to the times (2, 5)
+        with pytest.raises(TypeError, match="checkpoint must be an integer"):
+            spread_exponent(RotationalSchedule(Fraction(2, 7)), checkpoints)
+
+    def test_numpy_integer_checkpoints(self):
+        schedule = RotationalSchedule(Fraction(2, 7))
+        est = spread_exponent(schedule, np.array([4, 8]))
+        assert est.times == (4, 8) and all(type(t) is int for t in est.times)
 
     @given(st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_theta_is_rejected(self, theta):

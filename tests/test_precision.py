@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from iqwalk import precision
 from iqwalk import (
     IndecisiveError,
     NAMED_CONSTANTS,
@@ -136,3 +137,91 @@ class TestTrigMidpointOnce:
         enclosure = golden_mean(40)
         dps = min(enclosure.certified_digits, 120) + 10
         assert enclosure.to_mpf() == enclosure.to_mpf(dps)
+
+
+def _enclosure(name, digits, fractional):
+    enclosure = NAMED_CONSTANTS[name](digits)
+    return enclosure.fractional_part() if fractional else enclosure
+
+
+SPAN_ENCLOSURES = [
+    pytest.param(name, digits, fractional, id=f"{name}-{digits}{'-frac' if fractional else ''}")
+    for name in sorted(NAMED_CONSTANTS)
+    for digits in (40, 60)
+    for fractional in (False, True)
+]
+
+
+class TestSpanFill:
+    """cos_sin_two_pi_span against per-site cos_sin_two_pi, by float.hex."""
+
+    @staticmethod
+    def _check(enclosure, sites, every=1):
+        got = enclosure.cos_sin_two_pi_span(sites)
+        assert got.shape == (2, len(sites))
+        for j in range(0, len(sites), every):
+            want = enclosure.cos_sin_two_pi(sites[j])
+            assert (got[0, j].hex(), got[1, j].hex()) == (want[0].hex(), want[1].hex()), sites[j]
+
+    @pytest.mark.parametrize("name,digits,fractional", SPAN_ENCLOSURES)
+    def test_sites_up_to_twenty_thousand(self, name, digits, fractional):
+        enclosure = _enclosure(name, digits, fractional)
+        self._check(enclosure, range(-300, 301))
+        self._check(enclosure, range(-20000, 20001), every=29)
+
+    @pytest.mark.parametrize("name,digits,fractional", SPAN_ENCLOSURES)
+    def test_spans_far_from_the_origin(self, name, digits, fractional):
+        enclosure = _enclosure(name, digits, fractional)
+        for centre in (10**6, -(10**6), 10**9, -(10**9)):
+            self._check(enclosure, range(centre - 32, centre + 32))
+
+    def test_midpoint_far_above_one(self):
+        golden = golden_mean(40)
+        shifted = RealEnclosure(golden.lo + 10**6, golden.hi + 10**6)
+        self._check(shifted, range(-100, 101))
+        self._check(shifted, range(10**6 - 16, 10**6 + 16))
+
+    def test_only_site_zero_falls_back(self, monkeypatch):
+        # the sine at n = 0 is exactly 0, so its interval straddles a sign change
+        calls = []
+        reference = RealEnclosure.cos_sin_two_pi
+        monkeypatch.setattr(
+            RealEnclosure, "cos_sin_two_pi", lambda self, n: calls.append(n) or reference(self, n)
+        )
+        for name in sorted(NAMED_CONSTANTS):
+            NAMED_CONSTANTS[name](40).cos_sin_two_pi_span(range(-2000, 2001))
+        assert calls == [0, 0, 0]
+
+    def test_forced_fallback_is_still_bitwise(self, monkeypatch):
+        # at a binary precision of 0 the bound on the mpmath path exceeds every
+        # value, so no site is decided and each one calls cos_sin_two_pi
+        enclosure, sites = pi_half(40), range(-40, 41)
+        fast = enclosure.cos_sin_two_pi_span(sites)
+        calls = []
+        reference = RealEnclosure.cos_sin_two_pi
+        monkeypatch.setattr(precision, "dps_to_prec", lambda dps: 0)
+        monkeypatch.setattr(
+            RealEnclosure, "cos_sin_two_pi", lambda self, n: calls.append(n) or reference(self, n)
+        )
+        slow = enclosure.cos_sin_two_pi_span(sites)
+        assert calls == list(sites)
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_empty_span(self):
+        assert golden_mean(40).cos_sin_two_pi_span(range(5, 5)).shape == (2, 0)
+
+    def test_rejects_a_stepped_range(self):
+        with pytest.raises(ValueError, match="step 1"):
+            golden_mean(40).cos_sin_two_pi_span(range(0, 10, 2))
+
+    @pytest.mark.parametrize("name", sorted(NAMED_CONSTANTS))
+    @pytest.mark.parametrize("shift", [0, 10**30])
+    def test_fixed_point_turn_is_within_one_unit(self, name, shift):
+        # the shift puts 100 bits before the point, which the turn must reduce first
+        constant = NAMED_CONSTANTS[name](40)
+        enclosure = RealEnclosure(constant.lo + shift, constant.hi + shift)
+        x, y = enclosure._turn_fixed
+        with mp.workprec(600):
+            c, s = mpmath.cos_sin(2 * mp.pi * enclosure.to_mpf())
+            assert abs(x - c * 2**precision._FIXED_BITS) <= 1
+            assert abs(y - s * 2**precision._FIXED_BITS) <= 1

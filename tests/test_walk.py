@@ -236,6 +236,15 @@ class TestObservables:
         with pytest.raises(ValueError):
             evolve(DEFAULT_SPINOR, RandomSchedule(3), -1)
 
+    @pytest.mark.parametrize("steps", [True, False, 2.0, 2.5, "3"])
+    def test_evolve_step_count_must_be_an_integer(self, steps):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            evolve(DEFAULT_SPINOR, RandomSchedule(3), steps)
+
+    def test_evolve_accepts_numpy_integers(self):
+        state = evolve(DEFAULT_SPINOR, RandomSchedule(3), np.int64(5))
+        assert state.step_count == 5 and type(state.step_count) is int
+
     def test_distribution_sums_to_one(self):
         state = evolve(DEFAULT_SPINOR, RotationalSchedule(QuarterFraction(1, 3)), 97)
         total = sum(p for _, _, p in distribution(state).values())
@@ -318,3 +327,50 @@ class TestAgainstStepLoop:
         assert fast.offset == slow.offset
         assert fast.step_count == slow.step_count
         assert fast.amplitudes.tobytes() == slow.amplitudes.tobytes()
+
+
+class _Stretched(CoinSchedule):
+    """(1 + 1e-10) times the identity at every site: the norm grows each step."""
+
+    def _build_coin(self, n):
+        return (1.0 + 1e-10) * np.eye(2, dtype=complex)
+
+
+def _step_states(schedule, order, steps):
+    """States after 0..steps calls of step, or the error that stopped them."""
+    states = [initial_state((0.6, 0.8j))]
+    try:
+        for _ in range(steps):
+            states.append(step(states[-1], schedule, order))
+    except NumericalDriftError as exc:
+        return states, str(exc)
+    return states, None
+
+
+class TestEvolveAgainstStep:
+    """evolve's two reused buffers against fresh arrays from step: equal bytes,
+    across buffer growth and window trims, and the same drift failure."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_SCHEDULES)
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_every_length_is_bitwise_the_step_loop(self, name, order):
+        make = DIFFERENTIAL_SCHEDULES[name]
+        states, error = _step_states(make(), order, 300)
+        assert error is None
+        for steps in [*range(41), 97, 300]:
+            got = evolve((0.6, 0.8j), make(), steps, order)
+            want = states[steps]
+            assert (got.offset, got.step_count) == (want.offset, want.step_count)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert got.amplitudes.base is None and got.amplitudes.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_drift_stops_both_at_the_same_step(self, order):
+        states, error = _step_states(_Stretched(), order, 40)
+        assert error is not None and 5 < len(states) < 40
+        with pytest.raises(NumericalDriftError) as raised:
+            evolve((0.6, 0.8j), _Stretched(), 40, order)
+        assert str(raised.value) == error
+        assert f"after step {len(states)} " in error
+        last = evolve((0.6, 0.8j), _Stretched(), len(states) - 1, order)
+        assert last.amplitudes.tobytes() == states[-1].amplitudes.tobytes()
