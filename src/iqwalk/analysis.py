@@ -14,6 +14,7 @@ from .exact_trig import QuarterFraction
 from .walk import (
     DEFAULT_SPINOR,
     WalkerState,
+    _check_order,
     evolve,
     initial_state,
     moment_stats,
@@ -142,11 +143,12 @@ def recurrence_series(
 
     Starting at the origin, odd steps give exactly 0.0 by parity for
     any schedule.  t_max must be an integer; floats and bools raise
-    TypeError.
+    TypeError.  An unknown order raises ValueError before any step.
     """
     t_max = _integer(t_max, "t_max")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
+    _check_order(order)
     state = initial_state(initial)
     series = [(0, origin_probability(state))]
     for t in range(1, t_max + 1):

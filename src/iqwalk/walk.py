@@ -11,8 +11,16 @@ zero amplitude.
 The dense window of stored amplitudes always covers every nonzero site;
 exactly-zero boundary rows are trimmed after each step, which clamps
 the window to [-q, q] automatically whenever the schedule confines the
-walk.  One kernel makes every forward step: `step` gives it fresh
-arrays, and `evolve` two buffers that it alternates between.
+walk.
+
+Every step moves each amplitude by exactly one site, so a walker started
+at `site` is nonzero only on sites n = site + t (mod 2) after t steps.
+`step` is the reference: one dense kernel over the whole window, on
+fresh arrays.  `evolve` stores only that sublattice, packed as [L | R]
+in one of two buffers that it alternates between, and makes the same
+products and sums per sublattice site as `step`.  Its sublattice
+amplitudes are byte-equal to those of repeated `step` calls; every
+other entry of its result is +0.0, where `step` may hold -0.0.
 """
 
 from __future__ import annotations
@@ -64,7 +72,8 @@ class WalkerState:
 
     amplitudes[i] holds the (left, right) chirality pair at site
     offset + i.  The window is guaranteed to contain every site with a
-    nonzero amplitude; sites outside it are exactly zero.
+    nonzero amplitude; sites outside it are exactly zero.  Amplitudes
+    must be finite; NaN or infinity raises ValueError.
     """
 
     offset: int
@@ -75,6 +84,8 @@ class WalkerState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (N, 2), got {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -99,7 +110,11 @@ class WalkerState:
 def initial_state(
     spinor: tuple[complex, complex] = DEFAULT_SPINOR, site: int = 0
 ) -> WalkerState:
-    """Walker localized at one site with the given chirality spinor."""
+    """Walker localized at one site with the given chirality spinor.
+
+    site must be an integer; floats and bools raise TypeError.
+    """
+    site = _integer(site, "site")
     left, right = complex(spinor[0]), complex(spinor[1])
     if not (cmath.isfinite(left) and cmath.isfinite(right)):
         raise ValueError(f"spinor components must be finite, got {(left, right)!r}")
@@ -116,19 +131,27 @@ def _state(offset: int, amps: np.ndarray, step_count: int) -> WalkerState:
     return state
 
 
-def _kept_rows(amps: np.ndarray, step_count: int) -> tuple[int, int]:
-    """Rows [lo, hi) of amps to keep after the drift gate: exactly-zero
-    boundary rows are dropped, which keeps the window minimal."""
+def _check_order(order: str) -> None:
+    if order not in ("WC", "CW"):
+        raise ValueError(f"unknown walk order {order!r}")
+
+
+def _kept_rows(
+    amps: np.ndarray, left: np.ndarray, right: np.ndarray, step_count: int
+) -> tuple[int, int]:
+    """Sites [lo, hi) of the columns left and right to keep after the
+    drift gate on every amplitude in amps: exactly-zero boundary sites
+    are dropped, which keeps the window minimal."""
     nrm = math.sqrt(np.vdot(amps, amps).real)
     if not abs(nrm - 1.0) <= DRIFT_LIMIT:
         raise NumericalDriftError(
             f"norm drifted to {nrm!r} after step {step_count}"
             f" (|1 - norm| > {DRIFT_LIMIT})"
         )
-    lo, hi = 0, len(amps)
-    while hi - lo > 1 and not (amps[lo, 0] or amps[lo, 1]):
+    lo, hi = 0, len(left)
+    while hi - lo > 1 and not (left[lo] or right[lo]):
         lo += 1
-    while hi - lo > 1 and not (amps[hi - 1, 0] or amps[hi - 1, 1]):
+    while hi - lo > 1 and not (left[hi - 1] or right[hi - 1]):
         hi -= 1
     return lo, hi
 
@@ -174,7 +197,60 @@ def _step_into(
         np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
     else:
         raise ValueError(f"unknown walk order {order!r}")
-    return _kept_rows(new, step_count)
+    return _kept_rows(new, new[:, 0], new[:, 1], step_count)
+
+
+def _sublattice_walk(
+    start: int,
+    left: np.ndarray,
+    right: np.ndarray,
+    schedule: CoinSchedule,
+    order: WalkOrder,
+    steps: int,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """steps steps of the sublattice window (left, right), whose sites are
+    start, start + 2, ...; returns the final window in the same form.
+
+    Each window is packed as [L | R] in one of two buffers, which double
+    when a window outgrows them, up to the 2*steps + 2 entries of the
+    widest possible window.  Each output is a*L + b*R or c*L + d*R over
+    the coins of every second site: the operations `_step_into` makes at
+    the sites that can be nonzero, which leave the same bits.  order must
+    be valid.
+    """
+    # local names and positional outputs: small windows are bound by per-step overhead
+    mul, add, coin_entries, size = np.multiply, np.add, schedule.coin_entries, 0
+    for count in range(1, steps + 1):
+        n = len(left)
+        m = n + 1
+        if 2 * m > size:
+            size = min(4 * m, 2 * steps + 2)
+            buffers = np.empty((2, size), dtype=complex)
+            scratch = np.empty(3 * size // 2, dtype=complex)
+        new = buffers[count % 2, : 2 * m]
+        new_left, new_right = new[:m], new[m:]
+        if order == "WC":
+            a, b, c, d = coin_entries(start, start + 2 * n - 2)
+            a, b, c, d = a[::2], b[::2], c[::2], d[::2]
+            tmp, out_left, out_right = scratch[:n], new[:n], new[m + 1 :]
+            mul(a, left, out_left)
+            add(out_left, mul(b, right, tmp), out_left)
+            mul(c, left, out_right)
+            add(out_right, mul(d, right, tmp), out_right)
+            new[n] = new[m] = 0  # the last L site and the first R site
+        else:
+            a, b, c, d = coin_entries(start - 1, start + 2 * n - 1)
+            a, b, c, d = a[::2], b[::2], c[::2], d[::2]
+            shifted, tmp = scratch[: 2 * m], scratch[2 * m : 3 * m]
+            shifted[:n], shifted[n : n + 2], shifted[n + 2 :] = left, 0, right
+            from_right, from_left = shifted[:m], shifted[m:]  # L from s+1, R from s-1
+            mul(a, from_right, new_left)
+            add(new_left, mul(b, from_left, tmp), new_left)
+            mul(c, from_right, new_right)
+            add(new_right, mul(d, from_left, tmp), new_right)
+        lo, hi = _kept_rows(new, new_left, new_right, count)
+        start, left, right = start - 1 + 2 * lo, new_left[lo:hi], new_right[lo:hi]
+    return start, left, right
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
@@ -210,7 +286,7 @@ def adjoint_step(
     else:
         raise ValueError(f"unknown walk order {order!r}")
     count = state.step_count - 1
-    lo, hi = _kept_rows(new, count)
+    lo, hi = _kept_rows(new, new[:, 0], new[:, 1], count)
     return _state(state.offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
 
 
@@ -223,27 +299,28 @@ def evolve(
 ) -> WalkerState:
     """Evolve a walker started at `site` for the given number of steps.
 
-    The result equals `steps` calls of `step`, byte for byte.  The
-    windows alternate between two buffers, which double when a window
-    outgrows them, up to the 2*steps + 1 rows of the widest possible
-    window, and only the final window is copied out.  steps must be an
-    integer; floats and bools raise TypeError.
+    After t steps only the sites n = site + t (mod 2) can be nonzero, and
+    only they are stepped, packed as [L | R] (`_sublattice_walk`); only
+    the final window is expanded to a dense state.  Its sublattice
+    amplitudes, offset and window equal those of `steps` calls of
+    `step`, byte for byte; its other entries are +0.0.  The norm gate
+    sums the packed amplitudes, so its value can differ from `step`'s in
+    the last bits.  steps and site must be integers; floats and bools
+    raise TypeError.  An unknown order raises ValueError before any step.
     """
     steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    _check_order(order)
     state = initial_state(initial_spinor, site)
-    offset, amps, size = state.offset, state.amplitudes, 0
-    for count in range(1, steps + 1):
-        rows = len(amps) + 2
-        if rows > size:
-            size = min(2 * rows, 2 * steps + 1)
-            buffers = np.empty((2, size, 2), dtype=complex)
-            scratch = np.empty((3, size), dtype=complex)
-        new = buffers[count % 2, :rows]
-        lo, hi = _step_into(new, scratch, offset, amps, schedule, order, count)
-        offset, amps = offset - 1 + lo, new[lo:hi]
-    return _state(offset, amps.copy(), steps) if steps else state
+    if not steps:
+        return state
+    start, left, right = _sublattice_walk(
+        state.offset, state.amplitudes[:, 0], state.amplitudes[:, 1], schedule, order, steps
+    )
+    amps = np.zeros((2 * len(left) - 1, 2), dtype=complex)
+    amps[::2, 0], amps[::2, 1] = left, right
+    return _state(start, amps, steps)
 
 
 def distribution(state: WalkerState) -> dict[int, tuple[float, float, float]]:
@@ -259,7 +336,12 @@ def distribution(state: WalkerState) -> dict[int, tuple[float, float, float]]:
 
 
 def support(state: WalkerState, threshold: float = 0.0) -> tuple[int, int]:
-    """Smallest interval [lo, hi] holding all sites with probability > threshold."""
+    """Smallest interval [lo, hi] holding all sites with probability > threshold.
+
+    A NaN threshold raises ValueError.
+    """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     totals = np.sum(_sq_mags(state.amplitudes), axis=1)
     hot = np.nonzero(totals > threshold)[0]
     if len(hot) == 0:

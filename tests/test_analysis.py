@@ -172,6 +172,11 @@ class TestRecurrenceSeries:
         with pytest.raises(ValueError, match="non-negative"):
             recurrence_series(RandomSchedule(1), -1)
 
+    @pytest.mark.parametrize("t_max", [0, 3])
+    def test_unknown_order_raises_before_any_step(self, t_max):
+        with pytest.raises(ValueError, match="unknown walk order 'XX'"):
+            recurrence_series(RandomSchedule(1), t_max, order="XX")
+
     @pytest.mark.parametrize("t_max", [True, False, 4.0, 2.5])
     def test_t_max_must_be_an_integer(self, t_max):
         with pytest.raises(TypeError, match="t_max must be an integer"):

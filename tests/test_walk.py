@@ -87,6 +87,22 @@ class TestState:
         with pytest.raises(ValueError, match="shape"):
             WalkerState(0, np.zeros((3,)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        amps = np.zeros((3, 2), dtype=complex)
+        amps[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WalkerState(0, amps)
+
+    @pytest.mark.parametrize("site", [1.5, 2.0, True, False, "1"])
+    def test_site_must_be_an_integer(self, site):
+        with pytest.raises(TypeError, match="site must be an integer"):
+            initial_state(site=site)
+
+    def test_site_accepts_numpy_integers(self):
+        state = initial_state(site=np.int64(-3))
+        assert state.offset == -3 and type(state.offset) is int
+
     def test_probability(self):
         state = initial_state(DYADIC_SPINOR)
         assert state.probability(0) == 1.0
@@ -245,6 +261,17 @@ class TestObservables:
         state = evolve(DEFAULT_SPINOR, RandomSchedule(3), np.int64(5))
         assert state.step_count == 5 and type(state.step_count) is int
 
+    @pytest.mark.parametrize("steps", [0, 4])
+    @pytest.mark.parametrize("site", [0.5, 2.0, True])
+    def test_evolve_site_must_be_an_integer(self, steps, site):
+        with pytest.raises(TypeError, match="site must be an integer"):
+            evolve(DEFAULT_SPINOR, RandomSchedule(3), steps, site=site)
+
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_evolve_rejects_unknown_order_before_any_step(self, steps):
+        with pytest.raises(ValueError, match="unknown walk order 'XX'"):
+            evolve(DEFAULT_SPINOR, RandomSchedule(3), steps, order="XX")
+
     def test_distribution_sums_to_one(self):
         state = evolve(DEFAULT_SPINOR, RotationalSchedule(QuarterFraction(1, 3)), 97)
         total = sum(p for _, _, p in distribution(state).values())
@@ -255,6 +282,11 @@ class TestObservables:
         assert support(state, 0.0) == (-5, 5)
         with pytest.raises(EmptySupportError):
             support(state, 2.0)
+
+    def test_support_rejects_nan_threshold(self):
+        state = evolve(DYADIC_SPINOR, CustomSchedule({}), 5)
+        with pytest.raises(ValueError, match="NaN"):
+            support(state, math.nan)
 
     def test_support_of_long_confined_run(self):
         state = evolve(DEFAULT_SPINOR, RotationalSchedule(QuarterFraction(3, 5)), 500)
@@ -310,9 +342,22 @@ DIFFERENTIAL_SCHEDULES = {
 }
 
 
+def assert_sublattice_equal(got, want, site=0):
+    """got equals want on the sublattice that a walker started at site can
+    reach, byte for byte, zero signs included; every other entry of got is
+    +0.0, where want may hold -0.0."""
+    assert (got.offset, got.step_count) == (want.offset, want.step_count)
+    assert got.amplitudes.shape == want.amplitudes.shape
+    sites = np.arange(want.offset, want.offset + len(want.amplitudes))
+    reachable = (sites - site - want.step_count) % 2 == 0
+    assert got.amplitudes[reachable].tobytes() == want.amplitudes[reachable].tobytes()
+    assert got.amplitudes[~reachable].tobytes() == bytes(got.amplitudes[~reachable].nbytes)
+
+
 class TestAgainstStepLoop:
-    """step over the amortised cache against the temporaries stepper over a
-    cache copied on every growth: equal bytes, zero signs included."""
+    """evolve against the temporaries stepper over a cache copied on every
+    growth: equal bytes on the reachable sublattice, zero signs included,
+    and +0.0 elsewhere."""
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_SCHEDULES)
     @pytest.mark.parametrize("order", ["WC", "CW"])
@@ -324,9 +369,7 @@ class TestAgainstStepLoop:
         slow = initial_state((0.6, 0.8j))
         for _ in range(steps):
             slow = step_loop(slow, cache, order)
-        assert fast.offset == slow.offset
-        assert fast.step_count == slow.step_count
-        assert fast.amplitudes.tobytes() == slow.amplitudes.tobytes()
+        assert_sublattice_equal(fast, slow)
 
 
 class _Stretched(CoinSchedule):
@@ -348,8 +391,9 @@ def _step_states(schedule, order, steps):
 
 
 class TestEvolveAgainstStep:
-    """evolve's two reused buffers against fresh arrays from step: equal bytes,
-    across buffer growth and window trims, and the same drift failure."""
+    """evolve's packed sublattice buffers against fresh dense arrays from
+    step: equal bytes on the reachable sublattice and +0.0 elsewhere, across
+    buffer growth and window trims, and the same drift failure."""
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_SCHEDULES)
     @pytest.mark.parametrize("order", ["WC", "CW"])
@@ -359,9 +403,7 @@ class TestEvolveAgainstStep:
         assert error is None
         for steps in [*range(41), 97, 300]:
             got = evolve((0.6, 0.8j), make(), steps, order)
-            want = states[steps]
-            assert (got.offset, got.step_count) == (want.offset, want.step_count)
-            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert_sublattice_equal(got, states[steps])
             assert got.amplitudes.base is None and got.amplitudes.flags.c_contiguous
 
     @pytest.mark.parametrize("order", ["WC", "CW"])
@@ -374,3 +416,44 @@ class TestEvolveAgainstStep:
         assert f"after step {len(states)} " in error
         last = evolve((0.6, 0.8j), _Stretched(), len(states) - 1, order)
         assert last.amplitudes.tobytes() == states[-1].amplitudes.tobytes()
+
+
+@st.composite
+def walk_cases(draw):
+    """(schedule factory, q or None, spinor, order, site, steps); q is set
+    for the confining schedules p/(4q)."""
+    kind = draw(st.sampled_from(["quarter", "rational", "golden", "haar", "reflect"]))
+    q = None
+    if kind == "quarter":
+        q = draw(st.integers(min_value=1, max_value=9))
+        p = draw(st.sampled_from([p for p in range(1, 4 * q, 2) if math.gcd(p, q) == 1]))
+        make = lambda: RotationalSchedule(QuarterFraction(p, q))
+    elif kind == "rational":
+        den = draw(st.integers(min_value=1, max_value=40))
+        num = draw(st.integers(min_value=0, max_value=2 * den))
+        make = lambda: RotationalSchedule(Fraction(num, den))
+    elif kind == "golden":
+        make = lambda: RotationalSchedule(golden_mean(40))
+    elif kind == "haar":
+        seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+        make = lambda: RandomSchedule(seed)
+    else:
+        make = DIFFERENTIAL_SCHEDULES["reflect"]
+    site = draw(st.integers(min_value=-12, max_value=12))
+    steps = draw(st.integers(min_value=0, max_value=80))
+    return make, q, draw(spinors()), draw(st.sampled_from(["WC", "CW"])), site, steps
+
+
+class TestEvolveProperty:
+    @given(walk_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_evolve_is_the_step_loop_on_its_sublattice(self, case):
+        make, q, spinor, order, site, steps = case
+        want, schedule = initial_state(spinor, site), make()
+        for _ in range(steps):
+            want = step(want, schedule, order)
+        got = evolve(spinor, make(), steps, order, site)
+        assert_sublattice_equal(got, want, site)
+        if q is not None and -q < site < q:
+            # every amplitude outside [-q, q] is exactly zero, so the window is inside
+            assert -q <= got.offset and got.offset + len(got.amplitudes) - 1 <= q
