@@ -73,9 +73,7 @@ from .spectral import (
     butterfly,
     butterfly_fractions,
     circular_arg_distance,
-    eigenpairs,
     eigenvalue_gaps,
-    eigenvalues,
     gauge_check,
     property_report,
     spectrum,
@@ -152,8 +150,6 @@ __all__ = [
     "PropertyCheck",
     "PropertyReport",
     "build_matrices",
-    "eigenvalues",
-    "eigenpairs",
     "eigenvalue_gaps",
     "spectrum",
     "circular_arg_distance",

@@ -94,12 +94,19 @@ def barrier_positions(schedule: CoinSchedule, window: tuple[int, int]) -> list[i
     inverse periods with denominator 4q) or explicitly reflecting
     custom coins; irrational and Haar-random schedules return an empty
     list here, and `near_barriers` gives their empirical counterpart.
+    The window ends must be integers; floats and bools raise TypeError.
     """
-    lo, hi = window
-    if hi < lo:
-        raise ValueError(f"empty window {window}")
+    lo, hi = _window(window)
     a, _, _, d = schedule.coin_entries(lo, hi)
     return (lo + np.flatnonzero((a == 0) & (d == 0))).tolist()
+
+
+def _window(window: tuple[int, int]) -> tuple[int, int]:
+    # checked here, not in coin_entries, which runs on every walk step
+    lo, hi = (_integer(end, "window end") for end in window)
+    if hi < lo:
+        raise ValueError(f"empty window {window}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -119,10 +126,14 @@ class NearBarrierScan:
 def near_barriers(
     schedule: CoinSchedule, window: tuple[int, int], threshold: float = 1e-2
 ) -> NearBarrierScan:
-    """Scan for sites where both coin diagonal magnitudes are below threshold."""
-    lo, hi = window
-    if hi < lo:
-        raise ValueError(f"empty window {window}")
+    """Scan for sites where both coin diagonal magnitudes are below threshold.
+
+    The window ends must be integers (TypeError for floats and bools); a
+    NaN threshold raises ValueError.
+    """
+    lo, hi = _window(window)
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     a, _, _, d = schedule.coin_entries(lo, hi)
     # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs can differ by an ulp
     sizes = np.maximum(np.hypot(a.real, a.imag), np.hypot(d.real, d.imag))

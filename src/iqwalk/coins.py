@@ -336,12 +336,16 @@ class RandomSchedule(CoinSchedule):
 
 
 class CustomSchedule(CoinSchedule):
-    """Explicit per-site coins; unspecified sites get the identity."""
+    """Explicit per-site coins; unspecified sites get the identity.
+
+    Sites must be integers; floats, bools and strings raise TypeError.
+    """
 
     def __init__(self, coins: Mapping[int, np.ndarray]):
         super().__init__()
         self._coins: dict[int, np.ndarray] = {}
-        for n, matrix in coins.items():
+        for key, matrix in coins.items():
+            n = _integer(key, "site")
             m = np.asarray(matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"coin at site {n} has shape {m.shape}, want (2, 2)")
@@ -350,7 +354,7 @@ class CustomSchedule(CoinSchedule):
                 raise ValueError(
                     f"coin at site {n} is not unitary (defect {defect:.3e})"
                 )
-            self._coins[int(n)] = m.copy()
+            self._coins[n] = m.copy()
 
     def _build_coin(self, n: int) -> np.ndarray:
         coin = self._coins.get(n)

@@ -22,7 +22,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .coins import unitarity_defect
 from .errors import ConvergenceError
 from .exact_trig import TRIG_ERROR_BOUND, QuarterFraction, quarter_trig_table
 
@@ -33,8 +32,6 @@ __all__ = [
     "RESIDUAL_TOL",
     "OPERATOR_ERROR",
     "build_matrices",
-    "eigenpairs",
-    "eigenvalues",
     "eigenvalue_gaps",
     "spectrum",
     "property_report",
@@ -45,7 +42,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
-UNITARITY_PRE_TOL = 1e-10
 UNIMODULAR_TOL = 1e-12
 DET_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
@@ -289,7 +285,7 @@ def _walk_operator(f: QuarterFraction, order: str) -> _WalkOperator:
 
 
 def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Prove det(coin) = 1 and that coin @ coin^T is I within 1e-10, in O(n).
+    """Prove det(coin) = 1 and that coin @ coin^T is I within _ROTATION_NORM_BOUND, in O(n).
 
     The coin is block diagonal, so its determinant is corner**2 times the
     product of c**2 + s**2 over its rotation blocks [[c, -s], [s, c]].  The
@@ -304,7 +300,7 @@ def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndar
     The same numbers are the unitarity defect of either walk operator.
     The shift is an exact permutation, so U U^T = C C^T, whose diagonal
     is fl(c*c + s*s) and whose other entries are fl(c*s) - fl(s*c) = 0
-    exactly; _ROTATION_NORM_BOUND is far below UNITARITY_PRE_TOL.
+    exactly, so no dense unitarity check is needed.
     """
     deviation = np.abs(cos * cos + sin * sin - 1.0)
     if abs(corner) != 1.0 or not np.all(deviation <= _ROTATION_NORM_BOUND):
@@ -339,33 +335,30 @@ def _check_shift(target: np.ndarray) -> None:
         raise ConvergenceError(f"shift factor of dimension {dim} does not commute with J")
 
 
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a unitary matrix, sorted by principal argument.
+def _radii(
+    values: np.ndarray,
+    residuals: np.ndarray,
+    lengths: np.ndarray,
+    abs_norm: float,
+    k: int,
+    n: int,
+) -> np.ndarray:
+    """Gate eigenpairs on their float residuals and moduli, and bound their disks.
 
-    Every eigenpair is verified against the residual contract
-    ||M v - lambda v|| <= 1e-9; violations and solver failures raise
-    ConvergenceError.  The input must be unitary within 1e-10.
-    """
-    return eigenpairs(matrix)[0]
-
-
-def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, vectors, radii) of a unitary matrix, sorted by principal argument.
-
-    Same contracts as eigenvalues().  The disk of radius radii[i] + e
-    about values[i] holds at least one exact eigenvalue of every normal U
-    with ||matrix - U||_2 <= e; with e = 0, of the matrix itself if it is
-    exactly normal.  Every matrix takes one complex eigensolve of the
-    whole matrix; walk operators are solved by spectrum(), sector by
-    sector (_walk_eigenvalues), under the same certificate.
+    residuals[i] and lengths[i] are the float ||M v - lambda v|| and ||v||
+    of the pair (values[i], v), for a matrix M of dimension n with at most
+    k nonzeros in a row and ||M||_abs = abs_norm.  A residual above
+    RESIDUAL_TOL or a modulus more than UNIMODULAR_TOL off 1 raises
+    ConvergenceError.  The disk of radius radii[i] + e about values[i]
+    holds at least one exact eigenvalue of every normal U with
+    ||M - U||_2 <= e; with e = 0, of M itself if it is exactly normal.
 
     U is normal, so for any v != 0 some eigenvalue of U lies within
     ||U v - lambda v|| / ||v|| of lambda (Bauer-Fike with condition number
-    1).  With r~ the float residual of the contract check, n the dimension,
-    k the most nonzeros in a row and u = 2**-53,
+    1).  With r~ the float residual, u = 2**-53 and
 
         radii = (1 + gamma_{n+8}) * (r~ / ||v||~
-                 + sqrt(2) gamma_{k+2} (||matrix||_abs + |lambda|))
+                 + sqrt(2) gamma_{k+2} (||M||_abs + |lambda|))
 
     bounds that distance:
     - fl(M v): products with zero entries and sums with zero are exact in
@@ -382,36 +375,8 @@ def eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       evaluating this formula and gradual underflow (n * 2**-1074 at most).
     - ||(U - M) v|| <= e ||v||.
     This assumes IEEE double arithmetic with standard complex products (not
-    the 3M method) and costs O(n^2) on top of the solve.
+    the 3M method).  _walk_eigenvalues applies it per reflection sector.
     """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.size == 0:
-        raise ValueError("matrix must not be empty")
-    m = m.astype(complex)
-    defect = unitarity_defect(m)
-    if not defect <= UNITARITY_PRE_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    values, vectors = _eig(m)
-    magnitudes = np.abs(m)
-    abs_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
-    k = int(np.count_nonzero(m, axis=1).max())
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    radii = _radii(values, residuals, np.linalg.norm(vectors, axis=0), abs_norm, k, len(m))
-    order = np.argsort(_principal_args(values), kind="stable")
-    return values[order], vectors[:, order], radii[order]
-
-
-def _radii(
-    values: np.ndarray,
-    residuals: np.ndarray,
-    lengths: np.ndarray,
-    abs_norm: float,
-    k: int,
-    n: int,
-) -> np.ndarray:
-    """Gate the eigenpairs on their float residuals and moduli, and bound their disks (eigenpairs)."""
     worst = float(residuals.max())
     if not worst <= RESIDUAL_TOL:
         raise ConvergenceError(
@@ -469,7 +434,7 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     lifts to the eigenvector (x, +-K x) of U.  Both sectors take one
     np.linalg.eig call on the stacked (2, q, q) products A+-B+-.
 
-    The certificate of eigenpairs then holds in each sector, with n = 2q
+    The certificate of _radii then holds in each sector, with n = 2q
     and the same k and ||.||_abs:
     - Bauer-Fike: U+- is normal, so some eigenvalue of U+- lies within
       ||U+- x - lambda x|| / ||x|| of lambda for any x != 0.
@@ -531,7 +496,7 @@ class Spectrum:
     """Eigenvalues of one finite walk operator, argument-sorted.
 
     radii[i] bounds the distance from eigenvalues[i] to an eigenvalue of
-    the exact operator (see eigenpairs).
+    the exact operator (see _radii).
     """
 
     p: int
@@ -566,7 +531,7 @@ def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float
     min(|values[i] - values[j]| - radii[i] - radii[j]), evaluated so that
     rounding can only lower it.  When it is positive the disks
     D(values[i], radii[i]) are pairwise disjoint; each holds an exact
-    eigenvalue (eigenpairs), so n disjoint disks hold n distinct ones:
+    eigenvalue (_radii), so n disjoint disks hold n distinct ones:
     every eigenvalue is simple and no exact gap is below the bound.  A
     bound <= 0 proves nothing, since two disks may share an eigenvalue.
     With fewer than two values there is no pair, and both are inf: the

@@ -156,50 +156,6 @@ def _kept_rows(
     return lo, hi
 
 
-def _step_into(
-    new: np.ndarray,
-    scratch: np.ndarray,
-    offset: int,
-    amps: np.ndarray,
-    schedule: CoinSchedule,
-    order: WalkOrder,
-    step_count: int,
-) -> tuple[int, int]:
-    """One step of the window amps, whose first row is site offset, into new.
-
-    new has len(amps) + 2 rows, for sites offset - 1 onwards, and every
-    entry of it is written.  scratch is a C-ordered complex array of 3
-    rows and at least len(new) columns.  Each output is a*L + b*R or
-    c*L + d*R, with every product taken between the same memory layouts
-    as a stepper over fresh arrays, so the bits do not depend on who owns
-    the buffers.  Returns the rows [lo, hi) of new that hold the next
-    window.
-    """
-    n = len(amps)
-    left, right = amps[:, 0], amps[:, 1]
-    if order == "WC":
-        a, b, c, d = schedule.coin_entries(offset, offset + n - 1)
-        tmp, out_left, out_right = scratch[0, :n], new[:n, 0], new[2:, 1]
-        np.multiply(a, left, out=out_left)
-        np.add(out_left, np.multiply(b, right, out=tmp), out=out_left)
-        np.multiply(c, left, out=out_right)
-        np.add(out_right, np.multiply(d, right, out=tmp), out=out_right)
-        new[n, 0] = new[n + 1, 0] = new[0, 1] = new[1, 1] = 0  # L lands on n-1, R on n+1
-    elif order == "CW":
-        a, b, c, d = schedule.coin_entries(offset - 1, offset + n)
-        tmp, from_right, from_left = scratch[:, : n + 2]
-        from_right[:n], from_right[n:] = left, 0  # site m sees L from m+1
-        from_left[:2], from_left[2:] = 0, right  # site m sees R from m-1
-        out_left, out_right = new[:, 0], new[:, 1]
-        np.multiply(a, from_right, out=out_left)
-        np.add(out_left, np.multiply(b, from_left, out=tmp), out=out_left)
-        np.multiply(c, from_right, out=out_right)
-        np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
-    else:
-        raise ValueError(f"unknown walk order {order!r}")
-    return _kept_rows(new, new[:, 0], new[:, 1], step_count)
-
-
 def _sublattice_walk(
     start: int,
     left: np.ndarray,
@@ -214,8 +170,8 @@ def _sublattice_walk(
     Each window is packed as [L | R] in one of two buffers, which double
     when a window outgrows them, up to the 2*steps + 2 entries of the
     widest possible window.  Each output is a*L + b*R or c*L + d*R over
-    the coins of every second site: the operations `_step_into` makes at
-    the sites that can be nonzero, which leave the same bits.  order must
+    the coins of every second site: the operations `step` makes at the
+    sites that can be nonzero, which leave the same bits.  order must
     be valid.
     """
     # local names and positional outputs: small windows are bound by per-step overhead
@@ -254,11 +210,38 @@ def _sublattice_walk(
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
-    """One unitary step of the walk; returns a new state."""
-    rows, count = len(state.amplitudes) + 2, state.step_count + 1
-    new, scratch = np.empty((rows, 2), dtype=complex), np.empty((3, rows), dtype=complex)
-    lo, hi = _step_into(new, scratch, state.offset, state.amplitudes, schedule, order, count)
-    return _state(state.offset - 1 + lo, new if hi - lo == rows else new[lo:hi].copy(), count)
+    """One unitary step of the walk; returns a new state.
+
+    The N-site window is stepped into a fresh (N + 2, 2) array for sites
+    offset - 1 onwards, every entry of which is written: each output is
+    a*L + b*R or c*L + d*R, multiplied and added in place.
+    """
+    offset, amps, count = state.offset, state.amplitudes, state.step_count + 1
+    n = len(amps)
+    left, right = amps[:, 0], amps[:, 1]
+    new, scratch = np.empty((n + 2, 2), dtype=complex), np.empty((3, n + 2), dtype=complex)
+    if order == "WC":
+        a, b, c, d = schedule.coin_entries(offset, offset + n - 1)
+        tmp, out_left, out_right = scratch[0, :n], new[:n, 0], new[2:, 1]
+        np.multiply(a, left, out=out_left)
+        np.add(out_left, np.multiply(b, right, out=tmp), out=out_left)
+        np.multiply(c, left, out=out_right)
+        np.add(out_right, np.multiply(d, right, out=tmp), out=out_right)
+        new[n, 0] = new[n + 1, 0] = new[0, 1] = new[1, 1] = 0  # L lands on n-1, R on n+1
+    elif order == "CW":
+        a, b, c, d = schedule.coin_entries(offset - 1, offset + n)
+        tmp, from_right, from_left = scratch
+        from_right[:n], from_right[n:] = left, 0  # site m sees L from m+1
+        from_left[:2], from_left[2:] = 0, right  # site m sees R from m-1
+        out_left, out_right = new[:, 0], new[:, 1]
+        np.multiply(a, from_right, out=out_left)
+        np.add(out_left, np.multiply(b, from_left, out=tmp), out=out_left)
+        np.multiply(c, from_right, out=out_right)
+        np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
+    else:
+        raise ValueError(f"unknown walk order {order!r}")
+    lo, hi = _kept_rows(new, new[:, 0], new[:, 1], count)
+    return _state(offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
 
 
 def adjoint_step(

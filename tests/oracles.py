@@ -208,8 +208,9 @@ def _gamma(k: int) -> float:
 def complex_eigenpairs(matrix):
     """(values, vectors, radii) from one complex eigensolve of the whole matrix.
 
-    The reference for iqwalk.eigenpairs: the same unitarity pre-check,
-    residual and modulus gates and radius formula, with no structure used.
+    The dense reference for spectrum()'s sector certificate: a unitarity
+    pre-check, then the residual and modulus gates and the radius formula
+    of iqwalk.spectral._radii over whole columns, with no structure used.
     """
     m = np.asarray(matrix, dtype=complex)
     return _dense_certified(m, *np.linalg.eig(m))
@@ -249,7 +250,7 @@ def _dense_certified(m, values, vectors):
 
 
 def _certify(values, vectors, applied, abs_norm, k):
-    # the gates and the radius formula of iqwalk.eigenpairs, over whole columns
+    # the gates and the radius formula of iqwalk.spectral._radii, over whole columns
     residuals = np.linalg.norm(applied - vectors * values, axis=0)
     assert residuals.max() <= 1e-9
     assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
@@ -293,8 +294,9 @@ def lifted_walk_eigenpairs(op):
     site-parity sets and solved by its own eig of AB; each pair
     (+-sqrt(mu), x = (w, +-B w / sqrt(mu))) is lifted to the 4q-vector
     (x, +-K x).  The residuals are taken with walk_apply on the lifted
-    vectors, and the radii follow the formula of iqwalk.eigenpairs with
-    n = 4q, k = op.max_row_nonzeros() and ||U||_abs = op.abs_norm().
+    vectors, and the radii follow the formula of iqwalk.spectral._radii
+    with n = 4q, k = op.max_row_nonzeros() and ||U||_abs = op.abs_norm():
+    the lifted reference for spectrum()'s sector certificate.
     """
     columns, entries = op.entries()
     dim = len(op.frame.target)

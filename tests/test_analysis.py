@@ -38,6 +38,10 @@ from oracles import (
 )
 
 DYADIC_SPINOR = (0.5 + 0.5j, 0.5 - 0.5j)
+# window ends that are not integers: (True, 3) used to scan (1, 3), and a
+# float failed inside coin_entries
+WRONG_WINDOWS = [(-3.0, 3), (True, 3), (-3, 2.5), (-3, "3")]
+WRONG_WINDOW_IDS = ["float lo", "bool lo", "float hi", "str hi"]
 
 
 class TestLeakedProbability:
@@ -114,6 +118,15 @@ class TestBarrierPositions:
         with pytest.raises(ValueError, match="empty window"):
             barrier_positions(RandomSchedule(1), (3, 2))
 
+    @pytest.mark.parametrize("window", WRONG_WINDOWS, ids=WRONG_WINDOW_IDS)
+    def test_window_ends_must_be_integers(self, window):
+        with pytest.raises(TypeError, match="window end must be an integer"):
+            barrier_positions(RotationalSchedule(QuarterFraction(1, 3)), window)
+
+    def test_numpy_integer_window(self):
+        schedule = RotationalSchedule(QuarterFraction(1, 3))
+        assert barrier_positions(schedule, (np.int64(-10), np.int32(10))) == [-9, -3, 3, 9]
+
 
 class TestNearBarriers:
     def test_exact_barriers_are_found_at_zero(self):
@@ -132,6 +145,16 @@ class TestNearBarriers:
     def test_window_validation(self):
         with pytest.raises(ValueError, match="empty window"):
             near_barriers(RandomSchedule(1), (1, 0))
+
+    @pytest.mark.parametrize("window", WRONG_WINDOWS, ids=WRONG_WINDOW_IDS)
+    def test_window_ends_must_be_integers(self, window):
+        with pytest.raises(TypeError, match="window end must be an integer"):
+            near_barriers(RotationalSchedule(QuarterFraction(1, 3)), window)
+
+    def test_nan_threshold_is_rejected(self):
+        # every comparison with NaN is false, so the scan used to come back empty
+        with pytest.raises(ValueError, match="NaN"):
+            near_barriers(RotationalSchedule(QuarterFraction(1, 3)), (-10, 10), math.nan)
 
 
 class TestRecurrenceSeries:

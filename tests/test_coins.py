@@ -274,6 +274,21 @@ class TestCustomSchedule:
         coin[0, 0] = 5.0
         assert schedule.coin_at(0)[0, 0] == 1.0
 
+    @pytest.mark.parametrize(
+        "site", [1.5, 1.0, True, "2", None], ids=["float", "whole float", "bool", "str", "None"]
+    )
+    def test_rejects_non_integer_sites(self, site):
+        # int() would put 1.5, 1.0 and True on site 1 and "2" on site 2
+        with pytest.raises(TypeError, match="site must be an integer"):
+            CustomSchedule({site: reflecting_coin()})
+
+    def test_numpy_integer_sites_are_plain_sites(self):
+        barrier = reflecting_coin()
+        schedule = CustomSchedule({np.int64(-3): barrier, np.int32(2): barrier})
+        for n in (-3, 2):
+            assert np.array_equal(schedule.coin_at(n), barrier)
+        assert np.array_equal(schedule.coin_entries(-3, 2)[0], [0, 1, 1, 1, 1, 0])
+
 
 class CountingSchedule(CoinSchedule):
     """Per-site Haar coins that count coin builds per site and cache reallocations."""

@@ -15,11 +15,8 @@ from iqwalk import (
     butterfly,
     butterfly_fractions,
     circular_arg_distance,
-    eigenpairs,
     eigenvalue_gaps,
-    eigenvalues,
     gauge_check,
-    haar_coin,
     property_report,
     spectrum,
     trig_pair_exact,
@@ -132,6 +129,12 @@ class TestFactorChecks:
         with pytest.raises(ConvergenceError, match="not a rotation"):
             _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
 
+    def test_nan_cosine_is_rejected(self):
+        cos, sin, _ = self.factors()
+        cos[2] = np.nan
+        with pytest.raises(ConvergenceError, match="not a rotation"):
+            _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
+
     def test_inexact_corner_is_rejected(self):
         cos, sin, _ = self.factors()
         with pytest.raises(ConvergenceError, match="corner"):
@@ -201,79 +204,9 @@ class TestLayout:
             spectral._layout(columns, rows)
 
 
-class TestEigenvalues:
-    def test_identity(self):
-        vals = eigenvalues(np.eye(5))
-        assert np.array_equal(vals, np.ones(5, dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            eigenvalues(np.zeros((2, 3)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            eigenpairs(np.zeros((0, 0)))
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            eigenvalues(2.0 * np.eye(3))
-
-    def test_sorted_by_principal_arg(self):
-        vals = eigenvalues(np.diag([-1.0, 1.0j, 1.0, -1.0j]).astype(complex))
-        assert np.allclose(vals, QUARTET[np.argsort([0, np.pi / 2, np.pi, -np.pi / 2])])
-        args = np.angle(vals)
-        assert list(args) == sorted(args)
-        assert args[-1] == pytest.approx(np.pi)  # -pi folds to +pi
-
-    def test_solver_failure_is_wrapped(self, monkeypatch):
-        def explode(_):
-            raise np.linalg.LinAlgError("did not converge")
-
-        monkeypatch.setattr(np.linalg, "eig", explode)
-        with pytest.raises(ConvergenceError, match="eigensolver failed"):
-            eigenvalues(np.eye(4))
-
-    def test_bad_eigenpairs_are_rejected(self, monkeypatch):
-        real_eig = np.linalg.eig
-
-        def skewed(m):
-            values, vectors = real_eig(m)
-            return values + 0.1, vectors
-
-        monkeypatch.setattr(np.linalg, "eig", skewed)
-        with pytest.raises(ConvergenceError, match="residual"):
-            eigenvalues(np.eye(4))
-
-    def test_off_circle_eigenvalues_are_rejected(self, monkeypatch):
-        # zero vectors defeat the residual check, the modulus gate remains
-        monkeypatch.setattr(
-            np.linalg,
-            "eig",
-            lambda m: (1.5 * np.ones(len(m), dtype=complex), np.zeros_like(m)),
-        )
-        with pytest.raises(ConvergenceError, match="modulus"):
-            eigenvalues(np.eye(4))
-
-
 def walk_operator(p, q, order="CW"):
     coin, shift = build_matrices(QuarterFraction(p, q))
     return coin @ shift if order == "CW" else shift @ coin
-
-
-def turned_origin_operator():
-    # 1/8's operator with a 0.6, 0.8 rotation coin at site 0 instead of the identity
-    coin, shift = build_matrices(QuarterFraction(1, 2))
-    coin[3:5, 3:5] = [[0.6, -0.8], [0.8, 0.6]]
-    return coin @ shift
-
-
-def haar_operator(q, seed=7):
-    # the walk's shift with a Haar U(2) coin at every interior site
-    coin, shift = build_matrices(QuarterFraction(1, q))
-    coin = coin.astype(complex)
-    for i, n in enumerate(range(-q + 1, q)):
-        coin[2 * i + 1 : 2 * i + 3, 2 * i + 1 : 2 * i + 3] = haar_coin(seed, n)
-    return coin @ shift
 
 
 @pytest.fixture
@@ -291,36 +224,7 @@ def eig_calls(monkeypatch):
 
 
 class TestParitySplit:
-    """spectrum() solves a walk operator as two real q x q sector blocks
-    A+-B+-; eigenpairs(matrix) takes one complex solve of any matrix."""
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            pytest.param(walk_operator(3, 5, "CW"), id="walk CW"),
-            pytest.param(walk_operator(3, 5, "WC"), id="walk WC"),
-            pytest.param(walk_operator(3, 5).astype(complex), id="walk complex dtype"),
-            # swaps 0 <-> 1 and 2 <-> 3: on the parity pattern and J-symmetric
-            pytest.param(np.eye(4)[[1, 0, 3, 2]], id="bipartite permutation"),
-            pytest.param(haar_operator(5), id="haar"),
-            pytest.param(np.diag([1.0, -1.0, 1.0, -1.0]), id="diagonal"),
-            pytest.param(np.diag(QUARTET), id="complex diagonal"),
-            pytest.param(np.array([[0.6, -0.8], [0.8, 0.6]]), id="rotation"),
-            pytest.param(np.roll(np.eye(3), 1, axis=1), id="odd dimension"),
-            # even size, zero diagonal, but index 3 meets index 4, two even sites
-            pytest.param(np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=1)), id="odd cycles"),
-            # index 1 meets index 2, two odd sites, and index 3 meets itself
-            pytest.param(np.eye(4)[[1, 2, 0, 3]], id="3-cycle and a fixed point"),
-            # bipartite, but index 1 meets index 2, two odd sites
-            pytest.param(np.roll(np.eye(4), 1, axis=1), id="4-cycle off the parity pattern"),
-            # on the parity pattern, but the coin at site 0 turns, so J C J != C
-            pytest.param(turned_origin_operator(), id="parity pattern without the reflection"),
-        ],
-    )
-    def test_other_unitaries_take_the_complex_solve(self, eig_calls, matrix):
-        values, _, _ = eigenpairs(matrix)
-        assert eig_calls == [(matrix.shape, np.complex128)]
-        assert len(values) == len(matrix)
+    """spectrum() solves a walk operator as two real q x q sector blocks A+-B+-."""
 
     def test_every_spectrum_up_to_q20_takes_one_stacked_sector_solve(self, eig_calls):
         for f in butterfly_fractions(20):
@@ -350,60 +254,42 @@ class TestParitySplit:
                 _, ref_bound = eigenvalue_gaps(ref_values, ref_radii + OPERATOR_ERROR)
                 assert bound > 0.0 or ref_bound <= 0.0, f"{f} {order}"
 
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            pytest.param(walk_operator(3, 5, "CW"), id="walk CW"),
-            pytest.param(walk_operator(7, 6, "WC"), id="walk WC"),
-            pytest.param(haar_operator(4), id="haar"),
-            pytest.param(np.diag(QUARTET), id="complex diagonal"),
-        ],
-    )
-    def test_eigenpairs_is_the_complex_solve_bitwise(self, matrix):
-        for got, ref in zip(eigenpairs(matrix), complex_eigenpairs(matrix)):
-            assert got.tobytes() == ref.tobytes()
-
     def test_solver_failure_is_wrapped(self, monkeypatch):
         def explode(_):
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", explode)
-        with pytest.raises(ConvergenceError, match="eigensolver failed"):
-            eigenpairs(walk_operator(1, 2))
+        for order in ("CW", "WC"):
+            with pytest.raises(ConvergenceError, match="eigensolver failed: did not converge"):
+                spectrum(QuarterFraction(1, 2), order)
 
     def test_bad_eigenpairs_are_rejected(self, monkeypatch):
+        # i mu keeps |sqrt(i mu)| = 1, so only the residual gate can catch it
         real_eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: (real_eig(m)[0] * 1j, real_eig(m)[1]))
-        with pytest.raises(ConvergenceError, match="residual"):
-            eigenpairs(walk_operator(1, 2))
+        for order in ("CW", "WC"):
+            with pytest.raises(ConvergenceError, match="residual"):
+                spectrum(QuarterFraction(1, 2), order)
 
     def test_off_circle_eigenvalues_are_rejected(self, monkeypatch):
+        # zero vectors give zero residuals, so only the modulus gate can catch mu = 2.25
         monkeypatch.setattr(
-            np.linalg, "eig", lambda m: (1.5 * np.ones(m.shape[:-1]), np.zeros_like(m))
+            np.linalg, "eig", lambda m: (2.25 * np.ones(m.shape[:-1]), np.zeros_like(m))
         )
-        with pytest.raises(ConvergenceError, match="modulus"):
-            eigenpairs(walk_operator(1, 2))
-
-    def test_non_unitary_block_matrix_is_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            eigenpairs(2.0 * walk_operator(1, 2))
-
-    def test_nan_entry_is_rejected(self):
-        m = walk_operator(1, 2)
-        m[0, np.flatnonzero(m[0])[0]] = np.nan
-        with pytest.raises(ValueError, match="not unitary"):
-            eigenpairs(m)
+        for order in ("CW", "WC"):
+            with pytest.raises(ConvergenceError, match="modulus drifted 5.000e-01"):
+                spectrum(QuarterFraction(1, 2), order)
 
 
 class TestResidualDisks:
     def test_spectrum_carries_the_eigenpair_radii(self, eig_calls):
         f = QuarterFraction(3, 5)
         coin, shift = build_matrices(f)
-        values, vectors, radii = eigenpairs(coin @ shift)
-        assert np.array_equal(values, eigenvalues(coin @ shift))
+        # the dense reference takes one complex solve of the whole 4q x 4q product
+        _, vectors, radii = complex_eigenpairs(coin @ shift)
         assert vectors.shape == (20, 20)
         assert np.all(radii > 0.0)
-        assert eig_calls == [((20, 20), np.complex128)] * 2
+        assert eig_calls == [((20, 20), np.complex128)]
         eig_calls.clear()
         # the operator takes one stacked solve of both sectors' q x q products
         spec = spectrum(f)
@@ -416,26 +302,26 @@ class TestResidualDisks:
         assert np.array_equal(spec.radii, walk_radii + OPERATOR_ERROR)
 
     def test_doubled_eigenvalue_fails_the_certificate(self):
-        values, _, radii = eigenpairs(np.diag([1.0, 1.0, -1.0, 1.0j]))
+        values, _, radii = complex_eigenpairs(np.diag([1.0, 1.0, -1.0, 1.0j]))
         measured, bound = eigenvalue_gaps(values, radii)
         assert measured == 0.0
         assert bound <= 0.0
 
     def test_distinct_eigenvalues_pass_the_certificate(self):
-        values, _, radii = eigenpairs(np.diag(QUARTET))
+        values, _, radii = complex_eigenpairs(np.diag(QUARTET))
         measured, bound = eigenvalue_gaps(values, radii)
         assert measured == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert 0.0 < bound < measured
 
     def test_no_pair_has_no_gap(self):
         # one eigenvalue is simple, and the minimum over no pair is inf
-        values, _, radii = eigenpairs(np.eye(1))
+        values, _, radii = complex_eigenpairs(np.eye(1))
         assert eigenvalue_gaps(values, radii) == (math.inf, math.inf)
         assert eigenvalue_gaps(np.zeros(0, dtype=complex), np.zeros(0)) == (math.inf, math.inf)
 
 
 def product_error(op, values):
-    # sqrt(2) gamma_{k+2} (||U||_abs + |lambda|), the fl(M v) term of the radii (eigenpairs)
+    # sqrt(2) gamma_{k+2} (||U||_abs + |lambda|), the fl(M v) term of the radii (_radii)
     k = op.max_row_nonzeros()
     return math.sqrt(2.0) * spectral._gamma(k + 2) * (op.abs_norm() + np.abs(values))
 
@@ -535,7 +421,7 @@ class TestStructuredCertificate:
                 structured = np.linalg.norm(walk_apply(op, vectors) - vectors * values, axis=0)
                 dense = np.linalg.norm(m @ vectors - vectors * values, axis=0)
                 # each is within sqrt(2) gamma_{k+2} (||U||_abs + |lambda|) ||v|| of
-                # the exact residual, up to relative roundings (eigenpairs)
+                # the exact residual, up to relative roundings (_radii)
                 k = int(np.count_nonzero(m, axis=1).max())
                 assert op.max_row_nonzeros() == k
                 magnitudes = np.abs(m)
@@ -621,6 +507,19 @@ class TestSpectrum:
     def test_unknown_order(self):
         with pytest.raises(ValueError, match="order"):
             spectrum(QuarterFraction(1, 1), "CS")
+
+    def test_minus_pi_folds_to_pi(self):
+        # -1 is the negated root 1 + 0j, so np.angle gives it -pi; the
+        # principal branch is (-pi, pi], and the args stay sorted
+        for f in butterfly_fractions(6):
+            for order in ("CW", "WC"):
+                spec = spectrum(f, order)
+                raw = np.angle(spec.eigenvalues)
+                assert (raw == -np.pi).any(), f"{f} {order}"
+                folded = np.where(raw == -np.pi, np.pi, raw)
+                assert spec.args.tobytes() == folded.tobytes(), f"{f} {order}"
+                assert spec.args[-1] == np.pi and spec.args[0] > -np.pi
+                assert np.all(np.diff(spec.args) >= 0.0)
 
     def test_eigenvector_transport_between_orders(self):
         # shift factor carries eigenvectors of coin@shift to shift@coin
