@@ -204,6 +204,35 @@ class TestLayout:
             spectral._layout(columns, rows)
 
 
+class TestEigenvalues:
+    """The helpers every solve in spectrum() goes through: _eig wraps
+    solver failures, _radii gates residuals and moduli."""
+
+    def test_solver_failure_is_wrapped(self, monkeypatch):
+        def explode(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", explode)
+        with pytest.raises(ConvergenceError, match="eigensolver failed: did not converge"):
+            spectral._eig(np.eye(4))
+
+    def test_bad_eigenpairs_are_rejected(self):
+        # i lambda keeps |i lambda| = 1, so only the residual gate can catch it
+        m = np.eye(4)
+        values, vectors = spectral._eig(m)
+        values = values * 1j
+        residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+        lengths = np.linalg.norm(vectors, axis=0)
+        with pytest.raises(ConvergenceError, match="residual 1.414e\\+00"):
+            spectral._radii(values, residuals, lengths, 1.0, 1, 4)
+
+    def test_off_circle_eigenvalues_are_rejected(self):
+        # zero residuals pass the residual gate, the modulus gate remains
+        values = 1.5 * np.ones(4, dtype=complex)
+        with pytest.raises(ConvergenceError, match="modulus drifted 5.000e-01"):
+            spectral._radii(values, np.zeros(4), np.ones(4), 1.0, 1, 4)
+
+
 def walk_operator(p, q, order="CW"):
     coin, shift = build_matrices(QuarterFraction(p, q))
     return coin @ shift if order == "CW" else shift @ coin
