@@ -15,11 +15,12 @@ from .walk import (
     DEFAULT_SPINOR,
     WalkerState,
     _check_order,
+    _sublattice_state,
+    _sublattice_steps,
     evolve,
     initial_state,
     moment_stats,
     origin_probability,
-    step,
     support,
 )
 
@@ -52,8 +53,10 @@ def leaked_probability(state: WalkerState, interval: tuple[int, int]) -> float:
 
     The check is exact: a single nonzero amplitude bit outside the
     interval raises LeakageError even if its probability underflows.
+    The ends must be integers (TypeError for floats and bools), and an
+    inverted interval raises ValueError.
     """
-    lo, hi = interval
+    lo, hi = _window(interval)
     amps = state.amplitudes
     below = amps[: max(0, min(lo - state.offset, len(amps)))]
     above = amps[max(0, hi + 1 - state.offset) :]
@@ -152,9 +155,12 @@ def recurrence_series(
 ) -> list[tuple[int, float]]:
     """Origin probability at every step 0..t_max from one evolution.
 
-    Starting at the origin, odd steps give exactly 0.0 by parity for
-    any schedule.  t_max must be an integer; floats and bools raise
-    TypeError.  An unknown order raises ValueError before any step.
+    The walk runs on `evolve`'s sublattice engine; at even steps the
+    origin's packed (L, R) pair gives the same float as
+    `origin_probability` of the `step` loop's state.  Starting at the
+    origin, odd steps give exactly 0.0 by parity for any schedule.
+    t_max must be an integer; floats and bools raise TypeError.  An
+    unknown order raises ValueError before any step.
     """
     t_max = _integer(t_max, "t_max")
     if t_max < 0:
@@ -162,9 +168,18 @@ def recurrence_series(
     _check_order(order)
     state = initial_state(initial)
     series = [(0, origin_probability(state))]
-    for t in range(1, t_max + 1):
-        state = step(state, schedule, order)
-        series.append((t, origin_probability(state)))
+    amps = state.amplitudes
+    for t, start, left, right in _sublattice_steps(
+        0, amps[:, 0], amps[:, 1], schedule, order, t_max
+    ):
+        i, odd = divmod(-start, 2)  # the origin's packed index; odd times miss it
+        if odd or not 0 <= i < len(left):
+            series.append((t, 0.0))
+        else:
+            # as WalkerState.probability sums it, on Python complex numbers
+            at_left, at_right = complex(left[i]), complex(right[i])
+            prob = at_left.real**2 + at_left.imag**2 + at_right.real**2 + at_right.imag**2
+            series.append((t, prob))
     return series
 
 
@@ -193,21 +208,28 @@ def spread_exponent(
 ) -> SpreadEstimate:
     """Track sigma(t) and E|X_t|/t^theta over one evolution.
 
-    Checkpoints must be integers; floats and bools raise TypeError.
+    The walk runs on `evolve`'s sublattice engine, and only the states at
+    the checkpoints are expanded to dense states for `moment_stats`, so
+    every figure equals that of the `step` loop.  Checkpoints must be
+    integers; floats and bools raise TypeError.  An unknown order raises
+    ValueError before any step.
     """
     times = sorted({_integer(t, "checkpoint") for t in checkpoints})
     if not times or times[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    state = initial_state(initial)
+    _check_order(order)
+    amps = initial_state(initial).amplitudes
     sigmas: list[float] = []
     tails: list[float] = []
     want = set(times)
-    for t in range(1, times[-1] + 1):
-        state = step(state, schedule, order)
+    for t, start, left, right in _sublattice_steps(
+        0, amps[:, 0], amps[:, 1], schedule, order, times[-1]
+    ):
         if t in want:
-            stats = moment_stats(state)
+            # moments of the dense state: sums over the packed rows would round differently
+            stats = moment_stats(_sublattice_state(start, left, right, t))
             sigmas.append(stats.std_dev)
             tails.append(stats.abs_moments[1] / t**theta)
     upper = len(times) // 2

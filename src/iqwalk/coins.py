@@ -187,7 +187,8 @@ def _haar_batch(seed: int, spans: Iterable[range]) -> np.ndarray:
 
 
 class CoinSchedule:
-    """Base schedule: caches coins per site in a buffer that doubles when outgrown."""
+    """Base schedule: caches coins per site in a buffer that grows by at least half
+    when outgrown."""
 
     def __init__(self) -> None:
         # rows (a, b, c, d); column 0 is site _origin, sites _lo.._hi are built
@@ -238,10 +239,19 @@ class CoinSchedule:
             self._lo, self._hi = lo, lo - 1
         lo, hi, old = min(lo, self._lo), max(hi, self._hi), self._origin
         if lo < old or hi >= old + self._buffer.shape[1]:
-            pad = (hi - lo) // 2 + 1
-            built = self._buffer[:, self._lo - old : self._hi - old + 1]
-            self._buffer = np.pad(built, ((0, 0), (self._lo - lo + pad, hi - self._hi + pad)))
-            self._origin, self._rows = lo - pad, self._read_only_rows()
+            # the new buffer holds the request and is at least half as wide again as the
+            # old one, the room split between both ends: amortised when requests grow by
+            # a few sites, and no room to fill when each request doubles, as walks fetch
+            span = hi - lo + 1
+            width = max(span, 3 * self._buffer.shape[1] // 2)
+            origin = lo - (width - span) // 2
+            buffer = np.zeros((4, width), dtype=complex)
+            at = self._lo - origin
+            buffer[:, at : at + self._hi - self._lo + 1] = self._buffer[
+                :, self._lo - old : self._hi - old + 1
+            ]
+            self._buffer, self._origin = buffer, origin
+            self._rows = self._read_only_rows()
         if self._fills_buffer():
             lo, hi = self._origin, self._origin + self._buffer.shape[1] - 1
         left, right = range(lo, self._lo), range(self._hi + 1, hi + 1)

@@ -16,11 +16,14 @@ walk.
 Every step moves each amplitude by exactly one site, so a walker started
 at `site` is nonzero only on sites n = site + t (mod 2) after t steps.
 `step` is the reference: one dense kernel over the whole window, on
-fresh arrays.  `evolve` stores only that sublattice, packed as [L | R]
-in one of two buffers that it alternates between, and makes the same
-products and sums per sublattice site as `step`.  Its sublattice
-amplitudes are byte-equal to those of repeated `step` calls; every
-other entry of its result is +0.0, where `step` may hold -0.0.
+fresh arrays.  Long walks run on one engine, `_sublattice_steps`, which
+stores only that sublattice, packed as [L | R] in one of two buffers
+that it alternates between, and makes the same products and sums per
+sublattice site as `step`.  `evolve` runs it to the end, and
+`analysis.recurrence_series` and `analysis.spread_exponent` read the
+origin or the moments after each step.  Its sublattice amplitudes are
+byte-equal to those of repeated `step` calls; every other entry of a
+state it expands is +0.0, where `step` may hold -0.0.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -136,19 +139,20 @@ def _check_order(order: str) -> None:
         raise ValueError(f"unknown walk order {order!r}")
 
 
-def _kept_rows(
-    amps: np.ndarray, left: np.ndarray, right: np.ndarray, step_count: int
-) -> tuple[int, int]:
-    """Sites [lo, hi) of the columns left and right to keep after the
-    drift gate on every amplitude in amps: exactly-zero boundary sites
-    are dropped, which keeps the window minimal."""
+def _drift_error(nrm: float, step_count: int) -> NumericalDriftError:
+    return NumericalDriftError(
+        f"norm drifted to {nrm!r} after step {step_count} (|1 - norm| > {DRIFT_LIMIT})"
+    )
+
+
+def _kept_rows(amps: np.ndarray, step_count: int) -> tuple[int, int]:
+    """Rows [lo, hi) of the (N, 2) amplitudes to keep after the drift gate:
+    exactly-zero boundary sites are dropped, which keeps the window minimal."""
     nrm = math.sqrt(np.vdot(amps, amps).real)
     if not abs(nrm - 1.0) <= DRIFT_LIMIT:
-        raise NumericalDriftError(
-            f"norm drifted to {nrm!r} after step {step_count}"
-            f" (|1 - norm| > {DRIFT_LIMIT})"
-        )
-    lo, hi = 0, len(left)
+        raise _drift_error(nrm, step_count)
+    left, right = amps[:, 0], amps[:, 1]
+    lo, hi = 0, len(amps)
     while hi - lo > 1 and not (left[lo] or right[lo]):
         lo += 1
     while hi - lo > 1 and not (left[hi - 1] or right[hi - 1]):
@@ -156,38 +160,58 @@ def _kept_rows(
     return lo, hi
 
 
-def _sublattice_walk(
+def _sublattice_steps(
     start: int,
     left: np.ndarray,
     right: np.ndarray,
     schedule: CoinSchedule,
     order: WalkOrder,
     steps: int,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """steps steps of the sublattice window (left, right), whose sites are
-    start, start + 2, ...; returns the final window in the same form.
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Step the sublattice window (left, right), whose sites are start,
+    start + 2, ..., and yield (t, start, left, right) after each step
+    t = 1..steps.
 
-    Each window is packed as [L | R] in one of two buffers, which double
-    when a window outgrows them, up to the 2*steps + 2 entries of the
-    widest possible window.  Each output is a*L + b*R or c*L + d*R over
-    the coins of every second site: the operations `step` makes at the
-    sites that can be nonzero, which leave the same bits.  order must
-    be valid.
+    The walk engine of `evolve`, `recurrence_series` and
+    `spread_exponent`.  Each window is packed as [L | R] in one of two
+    buffers, which double when a window outgrows them, up to the
+    2*steps + 2 entries of the widest possible window; a yielded window
+    is a view that the step after next overwrites.  Coins come from
+    `coin_entries` over a span around the first site that doubles when a
+    step needs a site outside it, up to the `steps` sites on either side
+    that a walk can reach; each fetch is copied once into contiguous rows
+    per site parity, of which every step slices its own.  Each output is
+    a*L + b*R or c*L + d*R over the coins of every second site: the
+    operations `step` makes at the sites that can be nonzero, which leave
+    the same bits.  The drift gate and the exact-zero trim are those of
+    `step`.  Any order other than "WC" runs as "CW", so callers check it.
     """
-    # local names and positional outputs: small windows are bound by per-step overhead
-    mul, add, coin_entries, size = np.multiply, np.add, schedule.coin_entries, 0
+    # local names, positional outputs and few views: small windows are bound by
+    # per-step overhead
+    mul, add, vdot, sqrt = np.multiply, np.add, np.vdot, math.sqrt
+    wc, centre, reach, size = order == "WC", start, 0, 0
+    span_lo, span_hi = start, start - 1
     for count in range(1, steps + 1):
         n = len(left)
         m = n + 1
         if 2 * m > size:
             size = min(4 * m, 2 * steps + 2)
-            buffers = np.empty((2, size), dtype=complex)
+            buffer, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
             scratch = np.empty(3 * size // 2, dtype=complex)
-        new = buffers[count % 2, : 2 * m]
-        new_left, new_right = new[:m], new[m:]
-        if order == "WC":
-            a, b, c, d = coin_entries(start, start + 2 * n - 2)
-            a, b, c, d = a[::2], b[::2], c[::2], d[::2]
+        first, k = (start, n) if wc else (start - 1, m)
+        last = first + 2 * k - 2  # coins at first, first + 2, ..., last
+        if first < span_lo or last > span_hi:
+            # at least 8 sites a side, so that the first steps share one fetch
+            reach = min(max(2 * reach, centre - first, last - centre, 8), steps)
+            span_lo, span_hi = centre - reach, centre + reach
+            rows = schedule.coin_entries(span_lo, span_hi)
+            parity_rows = [tuple(row[p::2].copy() for row in rows) for p in (0, 1)]
+        i, parity = divmod(first - span_lo, 2)
+        a, b, c, d = parity_rows[parity]
+        a, b, c, d = a[i : i + k], b[i : i + k], c[i : i + k], d[i : i + k]
+        buffer, spare = spare, buffer  # the window being read stays in spare
+        new = buffer[: 2 * m]
+        if wc:
             tmp, out_left, out_right = scratch[:n], new[:n], new[m + 1 :]
             mul(a, left, out_left)
             add(out_left, mul(b, right, tmp), out_left)
@@ -195,18 +219,33 @@ def _sublattice_walk(
             add(out_right, mul(d, right, tmp), out_right)
             new[n] = new[m] = 0  # the last L site and the first R site
         else:
-            a, b, c, d = coin_entries(start - 1, start + 2 * n - 1)
-            a, b, c, d = a[::2], b[::2], c[::2], d[::2]
             shifted, tmp = scratch[: 2 * m], scratch[2 * m : 3 * m]
             shifted[:n], shifted[n : n + 2], shifted[n + 2 :] = left, 0, right
             from_right, from_left = shifted[:m], shifted[m:]  # L from s+1, R from s-1
+            new_left, new_right = new[:m], new[m:]
             mul(a, from_right, new_left)
             add(new_left, mul(b, from_left, tmp), new_left)
             mul(c, from_right, new_right)
             add(new_right, mul(d, from_left, tmp), new_right)
-        lo, hi = _kept_rows(new, new_left, new_right, count)
-        start, left, right = start - 1 + 2 * lo, new_left[lo:hi], new_right[lo:hi]
-    return start, left, right
+        nrm = sqrt(vdot(new, new).real)
+        if not abs(nrm - 1.0) <= DRIFT_LIMIT:
+            raise _drift_error(nrm, count)
+        lo, hi = 0, m  # site lo holds new[lo] (L) and new[m + lo] (R)
+        while hi - lo > 1 and not (new[lo] or new[m + lo]):
+            lo += 1
+        while hi - lo > 1 and not (new[hi - 1] or new[m + hi - 1]):
+            hi -= 1
+        start, left, right = start - 1 + 2 * lo, new[lo:hi], new[m + lo : m + hi]
+        yield count, start, left, right
+
+
+def _sublattice_state(
+    start: int, left: np.ndarray, right: np.ndarray, step_count: int
+) -> WalkerState:
+    """The dense state of a sublattice window: every other row, +0.0 between."""
+    amps = np.zeros((2 * len(left) - 1, 2), dtype=complex)
+    amps[::2, 0], amps[::2, 1] = left, right
+    return _state(start, amps, step_count)
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
@@ -240,7 +279,7 @@ def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") ->
         np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
     else:
         raise ValueError(f"unknown walk order {order!r}")
-    lo, hi = _kept_rows(new, new[:, 0], new[:, 1], count)
+    lo, hi = _kept_rows(new, count)
     return _state(offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
 
 
@@ -269,7 +308,7 @@ def adjoint_step(
     else:
         raise ValueError(f"unknown walk order {order!r}")
     count = state.step_count - 1
-    lo, hi = _kept_rows(new, new[:, 0], new[:, 1], count)
+    lo, hi = _kept_rows(new, count)
     return _state(state.offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
 
 
@@ -283,7 +322,7 @@ def evolve(
     """Evolve a walker started at `site` for the given number of steps.
 
     After t steps only the sites n = site + t (mod 2) can be nonzero, and
-    only they are stepped, packed as [L | R] (`_sublattice_walk`); only
+    only they are stepped, packed as [L | R] (`_sublattice_steps`); only
     the final window is expanded to a dense state.  Its sublattice
     amplitudes, offset and window equal those of `steps` calls of
     `step`, byte for byte; its other entries are +0.0.  The norm gate
@@ -298,12 +337,12 @@ def evolve(
     state = initial_state(initial_spinor, site)
     if not steps:
         return state
-    start, left, right = _sublattice_walk(
-        state.offset, state.amplitudes[:, 0], state.amplitudes[:, 1], schedule, order, steps
-    )
-    amps = np.zeros((2 * len(left) - 1, 2), dtype=complex)
-    amps[::2, 0], amps[::2, 1] = left, right
-    return _state(start, amps, steps)
+    amps = state.amplitudes
+    for _, start, left, right in _sublattice_steps(
+        state.offset, amps[:, 0], amps[:, 1], schedule, order, steps
+    ):
+        pass
+    return _sublattice_state(start, left, right, steps)
 
 
 def distribution(state: WalkerState) -> dict[int, tuple[float, float, float]]:

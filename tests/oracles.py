@@ -28,6 +28,7 @@ from iqwalk import (
     NumericalDriftError,
     RingState,
     WalkerState,
+    moment_stats,
     ring_shift,
     trig_pair_exact,
 )
@@ -534,3 +535,18 @@ def recurrence_series_loop(schedule, t_max, initial, order="WC"):
         state = step_loop(state, cache, order)
         series.append((t, state.probability(0)))
     return series
+
+
+def spread_exponent_loop(schedule, times, initial, theta=0.5, order="WC"):
+    """(sigmas, scaled tails) of spread_exponent at the sorted times, stepped
+    with step_loop over a copying cache."""
+    cache = extend_copy_schedule(schedule)
+    state = WalkerState(0, np.array([initial], dtype=complex))
+    sigmas, tails = [], []
+    for t in range(1, times[-1] + 1):
+        state = step_loop(state, cache, order)
+        if t in times:
+            stats = moment_stats(state)
+            sigmas.append(stats.std_dev)
+            tails.append(stats.abs_moments[1] / t**theta)
+    return tuple(sigmas), tuple(tails)

@@ -18,7 +18,6 @@ from iqwalk import (
     finite_support_verify,
     golden_mean,
     leaked_probability,
-    moment_stats,
     near_barriers,
     origin_probability,
     pi_half,
@@ -27,15 +26,17 @@ from iqwalk import (
     spread_exponent,
     support,
 )
+import iqwalk.analysis
+import iqwalk.walk
 from oracles import (
     barrier_positions_loop,
-    extend_copy_schedule,
     leaked_probability_loop,
     mp_origin_series,
     near_barriers_loop,
     recurrence_series_loop,
-    step_loop,
+    spread_exponent_loop,
 )
+from test_walk import walk_cases
 
 DYADIC_SPINOR = (0.5 + 0.5j, 0.5 - 0.5j)
 # window ends that are not integers: (True, 3) used to scan (1, 3), and a
@@ -64,6 +65,23 @@ class TestLeakedProbability:
     def test_interval_covering_everything(self):
         state = self._state_with_stray(0.5)
         assert leaked_probability(state, (-5, 5)) == 0.0
+
+    def test_inverted_interval_is_rejected(self):
+        # (3, -3) used to report the whole state as leaked
+        with pytest.raises(ValueError, match="empty window"):
+            leaked_probability(self._state_with_stray(0.0), (3, -3))
+
+    @pytest.mark.parametrize("interval", WRONG_WINDOWS, ids=WRONG_WINDOW_IDS)
+    def test_interval_ends_must_be_integers(self, interval):
+        # (True, 3) used to be read as (1, 3), and (-3.0, 3) returned 0.0
+        with pytest.raises(TypeError, match="window end must be an integer"):
+            leaked_probability(self._state_with_stray(0.5), interval)
+
+    def test_numpy_integer_interval(self):
+        state = self._state_with_stray(0.5)
+        assert leaked_probability(state, (np.int64(-5), np.int32(5))) == 0.0
+        with pytest.raises(LeakageError, match=r"escaped \[-3, 3\]"):
+            leaked_probability(state, (np.int64(-3), np.int32(3)))
 
 
 class TestFiniteSupportVerify:
@@ -261,6 +279,11 @@ class TestSpreadExponent:
         est = spread_exponent(schedule, np.array([4, 8]))
         assert est.times == (4, 8) and all(type(t) is int for t in est.times)
 
+    @pytest.mark.parametrize("checkpoints", [[1], [4, 8]])
+    def test_unknown_order_raises_before_any_step(self, checkpoints):
+        with pytest.raises(ValueError, match="unknown walk order 'XX'"):
+            spread_exponent(RandomSchedule(1), checkpoints, order="XX")
+
     @given(st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_theta_is_rejected(self, theta):
         with pytest.raises(ValueError, match="theta must be finite"):
@@ -285,6 +308,7 @@ class TestAgainstLoops:
         st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.5j, -2.0]), min_size=2, max_size=24),
     )
     def test_leaked_probability(self, offset, size, lo, hi, values):
+        lo, hi = min(lo, hi), max(lo, hi)  # an inverted interval raises ValueError
         amps = np.resize(np.array(values, dtype=complex), 2 * size).reshape(size, 2)
         state = WalkerState(offset, amps, 3)
         expect = _leak_outcome(leaked_probability_loop, state, (lo, hi))
@@ -321,14 +345,40 @@ class TestAgainstLoops:
         make = self.SCHEDULES[name]
         times = [10, 25, 60, 120]
         est = spread_exponent(make(), times, (0.6, 0.8j), theta=0.4)
-        cache = extend_copy_schedule(make())
-        state = WalkerState(0, np.array([(0.6, 0.8j)], dtype=complex))
-        sigmas, tails = [], []
-        for t in range(1, times[-1] + 1):
-            state = step_loop(state, cache)
-            if t in times:
-                stats = moment_stats(state)
-                sigmas.append(stats.std_dev)
-                tails.append(stats.abs_moments[1] / t**0.4)
-        assert est.sigmas == tuple(sigmas)
-        assert est.scaled_tail == tuple(tails)
+        sigmas, tails = spread_exponent_loop(make(), times, (0.6, 0.8j), theta=0.4)
+        assert est.sigmas == sigmas
+        assert est.scaled_tail == tails
+
+
+class TestSublatticeEngine:
+    """recurrence_series and spread_exponent run the sublattice engine that
+    evolve runs: their figures equal those of the step loops exactly."""
+
+    @given(walk_cases())
+    @settings(max_examples=60)
+    def test_recurrence_series_is_the_step_loop(self, case):
+        make, _, spinor, order, _, t_max = case
+        series = recurrence_series(make(), t_max, spinor, order)
+        want = recurrence_series_loop(make(), t_max, spinor, order)
+        assert series == want
+        assert np.array(series).tobytes() == np.array(want).tobytes()  # zero signs too
+
+    @given(walk_cases(), st.lists(st.integers(1, 80), min_size=1, max_size=8), st.floats(0, 1))
+    @settings(max_examples=60)
+    def test_spread_exponent_is_the_step_loop(self, case, checkpoints, theta):
+        make, _, spinor, order, _, _ = case
+        est = spread_exponent(make(), checkpoints, spinor, theta, order)
+        times = sorted(set(checkpoints))
+        assert est.times == tuple(times)
+        sigmas, tails = spread_exponent_loop(make(), times, spinor, theta, order)
+        assert est.sigmas == sigmas and est.scaled_tail == tails
+
+    def test_neither_falls_back_to_the_dense_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense step called")
+
+        monkeypatch.setattr(iqwalk.walk, "step", refuse)
+        monkeypatch.setattr(iqwalk.analysis, "step", refuse, raising=False)
+        schedule = RotationalSchedule(Fraction(2, 7))
+        assert len(recurrence_series(schedule, 50)) == 51
+        assert len(spread_exponent(schedule, [10, 50], order="CW").sigmas) == 2
