@@ -379,6 +379,7 @@ class TestSublatticeEngine:
 
         monkeypatch.setattr(iqwalk.walk, "step", refuse)
         monkeypatch.setattr(iqwalk.analysis, "step", refuse, raising=False)
-        schedule = RotationalSchedule(Fraction(2, 7))
-        assert len(recurrence_series(schedule, 50)) == 51
-        assert len(spread_exponent(schedule, [10, 50], order="CW").sigmas) == 2
+        for order in ("WC", "CW"):
+            schedule = RotationalSchedule(Fraction(2, 7))
+            assert len(recurrence_series(schedule, 50, order=order)) == 51
+            assert len(spread_exponent(schedule, [10, 50], order=order).sigmas) == 2
