@@ -58,8 +58,8 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-# |fl(c*c + s*s) - 1| for (c, s) within TRIG_ERROR_BOUND of (cos, sin) of an
-# angle (_check_coin)
+# |fl(c*c + s*s) - 1| for every entry (c, s) of a coin table within
+# TRIG_ERROR_BOUND of (cos, sin) of an angle; _check_coin proves it once per q
 _ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + _gamma(3)
 
 
@@ -69,8 +69,8 @@ def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
     Coin entries use exact residue trig, so reflecting blocks carry
     literal zeros.  The shift factor is a permutation matrix whose
     determinant is exactly -1; the coin factor has determinant 1
-    (_check_coin and _check_shift prove both).  The entries are read from
-    the arrays of the operator that spectrum() solves.
+    (_check_coin and _check_shift prove both, once per q).  The entries
+    are read from the arrays of the operator that spectrum() solves.
     """
     op = _walk_operator(f, "CW")
     dim = 4 * f.q
@@ -128,6 +128,7 @@ class _Frame:
 def _frame(q: int) -> _Frame:
     dim = 4 * q
     cos, sin = quarter_trig_table(q)
+    _check_coin(q, cos, sin)
     # L rows (odd i) of the shift read i + 2 and R rows (even i) read i - 2,
     # and the two ends reflect
     target = np.empty(dim, dtype=np.intp)
@@ -160,7 +161,7 @@ def _layout(columns: np.ndarray, rows: np.ndarray) -> _Layout:
       at the reversed columns, from the mirrored site (cos index j <->
       2q - 2 - j, the same corner), with the sign of every sine flipped.
       So J U J = U whenever cos[::-1] == cos and sin[::-1] == -sin, which
-      _WalkOperator.sector_blocks checks per operator.
+      _check_coin proves for every operator of this q.
     - the parity zero pattern: every entry of an E row lies in an O column
       and vice versa, so U vanishes on E x E and O x O (gauge_check).  J
       keeps the parity of a site, so the same holds for the folded columns.
@@ -245,14 +246,10 @@ class _WalkOperator:
     def sector_blocks(self) -> np.ndarray:
         """[[A+, B+], [A-, B-]] as one (2, 2, q, q) array (_walk_eigenvalues).
 
-        First proves J U J = U in O(q), bitwise: the coin angle is odd in
-        the site, so cos[::-1] == cos and sin[::-1] == -sin (_layout).
+        J U J = U, on which they rest, is proven once per q (_check_coin).
         """
-        dim = len(self.frame.target)
-        if not ((self.cos[::-1] == self.cos).all() and (self.sin[::-1] == -self.sin).all()):
-            raise ConvergenceError(f"walk operator of dimension {dim} does not commute with J")
         layout = self.frame.layouts[self.order]
-        q = dim // 4
+        q = len(self.frame.target) // 4
         blocks = np.zeros((2, 2 * q * q))
         blocks[:, layout.slots] = self.source()[layout.picks] * layout.signs
         return blocks.reshape(2, 2, q, q)
@@ -279,13 +276,19 @@ def _walk_operator(f: QuarterFraction, order: str) -> _WalkOperator:
     frame = _frame(q)
     k = (f.p % dim) * np.arange(-q + 1, q) % dim
     corner = float(frame.sin[-f.p * q % dim])  # coin sine at site -q, (-1)^((p+1)/2)
-    op = _WalkOperator(order, corner, frame.cos[k], frame.sin[k], frame)
-    _check_coin(f, op.corner, op.cos, op.sin)
-    return op
+    return _WalkOperator(order, corner, frame.cos[k], frame.sin[k], frame)
 
 
-def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Prove det(coin) = 1 and that coin @ coin^T is I within _ROTATION_NORM_BOUND, in O(n).
+def _check_coin(q: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Prove det(coin) = 1, coin @ coin^T = I within _ROTATION_NORM_BOUND
+    and J coin J = coin for every coin of q, in O(q), or raise naming q.
+
+    _walk_operator gathers every coin value from this table of 4q entries.
+    A corner sine is entry -p q mod 4q, q or 3q as p is odd, so sin[q] == 1
+    and sin[3q] == -1 make every corner exactly +-1.  Site n reads entry
+    k(n) = p n mod 4q, and k(-n) = -k(n), so cos[-k] == cos[k] and
+    sin[-k] == -sin[k] give cos[::-1] == cos and sin[::-1] == -sin over
+    the sites of every coin, on which J U J = U rests (_layout).
 
     The coin is block diagonal, so its determinant is corner**2 times the
     product of c**2 + s**2 over its rotation blocks [[c, -s], [s, c]].  The
@@ -303,11 +306,15 @@ def _check_coin(f: QuarterFraction, corner: float, cos: np.ndarray, sin: np.ndar
     exactly, so no dense unitarity check is needed.
     """
     deviation = np.abs(cos * cos + sin * sin - 1.0)
-    if abs(corner) != 1.0 or not np.all(deviation <= _ROTATION_NORM_BOUND):
+    if not (sin[q] == 1.0 and sin[3 * q] == -1.0 and np.all(deviation <= _ROTATION_NORM_BOUND)):
         raise ConvergenceError(
-            f"coin factor of {f} is not a rotation: corner {corner}, "
+            f"coin table of q = {q} is not a rotation table: corner sines "
+            f"{float(sin[q])!r}, {float(sin[3 * q])!r}, "
             f"largest |c^2 + s^2 - 1| = {float(deviation.max()):.3e}"
         )
+    mirror = -np.arange(4 * q) % (4 * q)
+    if not (np.array_equal(cos[mirror], cos) and np.array_equal(sin[mirror], -sin)):
+        raise ConvergenceError(f"coin table of q = {q} is not mirror-symmetric (J U J != U)")
 
 
 def _check_shift(target: np.ndarray) -> None:
@@ -412,8 +419,8 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     maps (n, L) to (-n, R).  J S J = S for the shift, and J C J = C for
     the coin: swapping L and R turns a rotation by theta into one by
     -theta, and the coin angle is odd in n.  J U J = U is proven, not
-    assumed: the layout once per q (_layout, _check_shift) and the coin
-    values per operator (sector_blocks).
+    assumed: the layout, the shift and the coin table once per q (_layout,
+    _check_shift, _check_coin).
 
     With K the 2q x 2q reversal and U11, U12, U21, U22 the blocks of U,
     J U J = U gives U22 = K U11 K and U21 = K U12 K.  P+-^T, with P+- =

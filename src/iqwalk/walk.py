@@ -15,7 +15,7 @@ walk.
 
 Every step moves each amplitude by exactly one site, so a walker started
 at `site` is nonzero only on sites n = site + t (mod 2) after t steps.
-`step` is the reference: one dense kernel over the whole window, on
+`step` and `adjoint_step` run one dense kernel over the whole window, on
 fresh arrays.  Long walks run on one engine, `_sublattice_steps`, which
 stores only that sublattice, packed as [L | R] in one of two buffers
 that it alternates between, and makes the same products and sums per
@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -145,21 +145,6 @@ def _drift_error(nrm: float, step_count: int) -> NumericalDriftError:
     )
 
 
-def _kept_rows(amps: np.ndarray, step_count: int) -> tuple[int, int]:
-    """Rows [lo, hi) of the (N, 2) amplitudes to keep after the drift gate:
-    exactly-zero boundary sites are dropped, which keeps the window minimal."""
-    nrm = math.sqrt(np.vdot(amps, amps).real)
-    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
-        raise _drift_error(nrm, step_count)
-    left, right = amps[:, 0], amps[:, 1]
-    lo, hi = 0, len(amps)
-    while hi - lo > 1 and not (left[lo] or right[lo]):
-        lo += 1
-    while hi - lo > 1 and not (left[hi - 1] or right[hi - 1]):
-        hi -= 1
-    return lo, hi
-
-
 def _sublattice_steps(
     start: int,
     left: np.ndarray,
@@ -248,19 +233,21 @@ def _sublattice_state(
     return _state(start, amps, step_count)
 
 
-def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
-    """One unitary step of the walk; returns a new state.
-
-    The N-site window is stepped into a fresh (N + 2, 2) array for sites
-    offset - 1 onwards, every entry of which is written: each output is
-    a*L + b*R or c*L + d*R, multiplied and added in place.
+def _dense_step(
+    offset: int, amps: np.ndarray, coins: Callable, order: str, count: int
+) -> WalkerState:
+    """`step`'s kernel: the N-site window amps at offset, stepped with the
+    coin rows (a, b, c, d) = coins(lo, hi) of sites lo..hi into a fresh
+    (N + 2, 2) array for sites offset - 1 onwards, every entry of which is
+    written: each output is a*L + b*R or c*L + d*R, multiplied and added in
+    place.  Then the drift gate at step count, and the trim of exactly-zero
+    boundary sites, which keeps the window minimal.
     """
-    offset, amps, count = state.offset, state.amplitudes, state.step_count + 1
     n = len(amps)
     left, right = amps[:, 0], amps[:, 1]
     new, scratch = np.empty((n + 2, 2), dtype=complex), np.empty((3, n + 2), dtype=complex)
     if order == "WC":
-        a, b, c, d = schedule.coin_entries(offset, offset + n - 1)
+        a, b, c, d = coins(offset, offset + n - 1)
         tmp, out_left, out_right = scratch[0, :n], new[:n, 0], new[2:, 1]
         np.multiply(a, left, out=out_left)
         np.add(out_left, np.multiply(b, right, out=tmp), out=out_left)
@@ -268,7 +255,7 @@ def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") ->
         np.add(out_right, np.multiply(d, right, out=tmp), out=out_right)
         new[n, 0] = new[n + 1, 0] = new[0, 1] = new[1, 1] = 0  # L lands on n-1, R on n+1
     elif order == "CW":
-        a, b, c, d = schedule.coin_entries(offset - 1, offset + n)
+        a, b, c, d = coins(offset - 1, offset + n)
         tmp, from_right, from_left = scratch
         from_right[:n], from_right[n:] = left, 0  # site m sees L from m+1
         from_left[:2], from_left[2:] = 0, right  # site m sees R from m-1
@@ -279,37 +266,42 @@ def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") ->
         np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
     else:
         raise ValueError(f"unknown walk order {order!r}")
-    lo, hi = _kept_rows(new, count)
+    nrm = math.sqrt(np.vdot(new, new).real)
+    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
+        raise _drift_error(nrm, count)
+    lo, hi = 0, n + 2
+    while hi - lo > 1 and not (new[lo, 0] or new[lo, 1]):
+        lo += 1
+    while hi - lo > 1 and not (new[hi - 1, 0] or new[hi - 1, 1]):
+        hi -= 1
     return _state(offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
+
+
+def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
+    """One unitary step of the walk; returns a new state."""
+    count = state.step_count + 1
+    return _dense_step(state.offset, state.amplitudes, schedule.coin_entries, order, count)
 
 
 def adjoint_step(
     state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC"
 ) -> WalkerState:
-    """Inverse of `step` with the same schedule and order."""
-    n = len(state.amplitudes)
-    left, right = state.amplitudes.T
-    new = np.zeros((n + 2, 2), dtype=complex)
-    if order == "WC":
-        # (W C)^-1 = C^H W^H: unshift, then inverse coin per site
-        a, b, c, d = schedule.coin_entries(state.offset - 1, state.offset + n)
-        unshifted_left = np.zeros(n + 2, dtype=complex)
-        unshifted_right = np.zeros(n + 2, dtype=complex)
-        unshifted_left[2 : n + 2] = left  # L at m came from m-1 before the shift
-        unshifted_right[0:n] = right
-        new[:, 0] = np.conj(a) * unshifted_left + np.conj(c) * unshifted_right
-        new[:, 1] = np.conj(b) * unshifted_left + np.conj(d) * unshifted_right
-    elif order == "CW":
-        # (C W)^-1 = W^H C^H: inverse coin per site, then unshift
-        a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
-        # (W^H psi)(m; L) = psi(m-1; L)
-        new[2 : n + 2, 0] = np.conj(a) * left + np.conj(c) * right
-        new[0:n, 1] = np.conj(b) * left + np.conj(d) * right
-    else:
-        raise ValueError(f"unknown walk order {order!r}")
-    count = state.step_count - 1
-    lo, hi = _kept_rows(new, count)
-    return _state(state.offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
+    """Inverse of `step` with the same schedule and order.
+
+    With X the chirality swap, (W C)^H = X (C' W) X and (C W)^H = X (W C') X
+    for C' = X C^H X, rows (conj d, conj b, conj c, conj a): `step`'s kernel
+    in the other order, whose products are those of U^H and whose sums only
+    swap their two terms, so the bits are the same.
+    """
+    _check_order(order)
+
+    def adjoint_coins(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        a, b, c, d = schedule.coin_entries(lo, hi)
+        return np.conj(d), np.conj(b), np.conj(c), np.conj(a)
+
+    other, count = ("CW" if order == "WC" else "WC"), state.step_count - 1
+    swapped = _dense_step(state.offset, state.amplitudes[:, ::-1], adjoint_coins, other, count)
+    return _state(swapped.offset, swapped.amplitudes[:, ::-1].copy(), count)
 
 
 def evolve(

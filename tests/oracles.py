@@ -488,6 +488,36 @@ def step_loop(state, schedule, order="WC"):
     return WalkerState(offset, amps, state.step_count + 1)
 
 
+def adjoint_step_loop(state, schedule, order="WC"):
+    """U^H = C^H W^H ("WC") or W^H C^H ("CW") applied directly, through
+    temporaries: the reference for adjoint_step's amplitudes, offset and
+    step count.  The norm gate sums re^2 + im^2."""
+    n = len(state.amplitudes)
+    left, right = state.amplitudes.T
+    new = np.zeros((n + 2, 2), dtype=complex)
+    if order == "WC":
+        a, b, c, d = schedule.coin_entries(state.offset - 1, state.offset + n)
+        unshifted_left = np.zeros(n + 2, dtype=complex)
+        unshifted_right = np.zeros(n + 2, dtype=complex)
+        unshifted_left[2 : n + 2] = left  # L at m came from m-1 before the shift
+        unshifted_right[0:n] = right
+        new[:, 0] = np.conj(a) * unshifted_left + np.conj(c) * unshifted_right
+        new[:, 1] = np.conj(b) * unshifted_left + np.conj(d) * unshifted_right
+    elif order == "CW":
+        a, b, c, d = schedule.coin_entries(state.offset, state.offset + n - 1)
+        # (W^H psi)(m; L) = psi(m-1; L)
+        new[2 : n + 2, 0] = np.conj(a) * left + np.conj(c) * right
+        new[0:n, 1] = np.conj(b) * left + np.conj(d) * right
+    else:
+        raise ValueError(f"unknown walk order {order!r}")
+    count = state.step_count - 1
+    nrm = math.sqrt(float(np.sum(new.real**2 + new.imag**2)))
+    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
+        raise NumericalDriftError(f"norm drifted to {nrm!r} after step {count}")
+    offset, amps = _trim_loop(state.offset - 1, new)
+    return WalkerState(offset, amps, count)
+
+
 def leaked_probability_loop(state, interval):
     """leaked_probability with one membership test per window site."""
     lo, hi = interval

@@ -22,7 +22,7 @@ from iqwalk import (
     trig_pair_exact,
     unitarity_defect,
 )
-from iqwalk.exact_trig import TRIG_ERROR_BOUND
+from iqwalk.exact_trig import TRIG_ERROR_BOUND, quarter_trig_table
 from iqwalk import spectral
 from iqwalk.spectral import OPERATOR_ERROR, _check_coin, _check_shift, _wrap_args
 from oracles import (
@@ -109,36 +109,71 @@ class TestBuildMatrices:
 
 
 class TestFactorChecks:
-    """_check_coin and _check_shift prove det(coin) = 1 and det(shift) = -1 in O(n)."""
+    """_check_coin and _check_shift prove, once per q, det(coin) = 1,
+    det(shift) = -1 and the mirror symmetry of the coin table in O(n)."""
 
     @staticmethod
     def factors():
-        # (cos, sin, column of each shift row's 1) read back from 1/12's factors
-        coin, shift = build_matrices(QuarterFraction(1, 3))
-        left = np.arange(1, 11, 2)
-        return coin[left, left], coin[left + 1, left], shift.argmax(axis=1)
+        # (cos, sin, column of each shift row's 1): the q = 3 coin table, and
+        # the shift read back from 1/12's factors
+        cos, sin = quarter_trig_table(3)
+        _, shift = build_matrices(QuarterFraction(1, 3))
+        return cos, sin, shift.argmax(axis=1)
 
     def test_walk_factors_pass(self):
+        for q in range(1, 41):
+            _check_coin(q, *quarter_trig_table(q))
         cos, sin, target = self.factors()
-        _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
+        _check_coin(3, cos, sin)
         _check_shift(target)
 
     def test_wrong_cosine_is_rejected(self):
         cos, sin, target = self.factors()
         cos[2] += 1e-12
-        with pytest.raises(ConvergenceError, match="not a rotation"):
-            _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
+        with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table"):
+            _check_coin(3, cos, sin)
 
     def test_nan_cosine_is_rejected(self):
         cos, sin, _ = self.factors()
         cos[2] = np.nan
-        with pytest.raises(ConvergenceError, match="not a rotation"):
-            _check_coin(QuarterFraction(1, 3), -1.0, cos, sin)
+        with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table"):
+            _check_coin(3, cos, sin)
 
     def test_inexact_corner_is_rejected(self):
-        cos, sin, _ = self.factors()
-        with pytest.raises(ConvergenceError, match="corner"):
-            _check_coin(QuarterFraction(1, 3), np.nextafter(-1.0, 0.0), cos, sin)
+        # sin[q] and sin[3q] are the corner sines of every coin of this q;
+        # one ulp off is still within the rotation bound
+        for k in (3, 9):
+            cos, sin, _ = self.factors()
+            sin[k] = np.nextafter(sin[k], 0.0)
+            with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table: corner"):
+                _check_coin(3, cos, sin)
+
+    def test_broken_mirror_pair_is_rejected(self):
+        # one ulp on either entry of a pair k, -k keeps the table a rotation
+        # table, but not J-symmetric; k = 0 and 2q are their own mirrors, and
+        # the sine there must be exactly zero
+        for array, k in [*(("cos", k) for k in range(12) if k % 6), ("sin", 0), ("sin", 6)]:
+            cos, sin, _ = self.factors()
+            table = cos if array == "cos" else sin
+            table[k] = np.nextafter(table[k], 2.0)
+            with pytest.raises(ConvergenceError, match="q = 3 is not mirror-symmetric"):
+                _check_coin(3, cos, sin)
+
+    def test_failed_frame_is_not_cached(self, monkeypatch):
+        def perturbed(q):
+            cos, sin = quarter_trig_table(q)
+            cos[1] += 1e-12
+            return cos, sin
+
+        spectral._frame.cache_clear()
+        monkeypatch.setattr(spectral, "quarter_trig_table", perturbed)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="q = 7 is not a rotation table"):
+                spectrum(QuarterFraction(3, 7))
+        assert spectral._frame.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert len(spectrum(QuarterFraction(3, 7)).eigenvalues) == 28
+        assert spectral._frame.cache_info().currsize == 1
 
     def test_two_cycles_are_rejected(self):
         # swapping two images splits the single 12-cycle into two cycles
@@ -384,15 +419,28 @@ class TestStructuredCertificate:
 
     @pytest.mark.parametrize("order", ["CW", "WC"])
     @pytest.mark.parametrize("array", ["cos", "sin"])
-    def test_broken_reflection_symmetry_is_rejected(self, order, array):
-        # negating one coin entry off site 0 keeps the coin a rotation but
-        # breaks J U J = U, on which the sector split rests
+    def test_broken_reflection_symmetry_is_rejected(self, monkeypatch, order, array):
+        # negating one table entry off the multiples of q, where the entries
+        # are 0, +-1 or their own mirrors, keeps the coin a rotation but
+        # breaks J U J = U, on which the sector split rests: the frame of q
+        # rejects it before any solve
+        def explode(_):
+            raise AssertionError("a broken frame reached the eigensolver")
+
         f = QuarterFraction(3, 5)
-        for j in [j for j in range(2 * f.q - 1) if j != f.q - 1]:
-            op = spectral._walk_operator(f, order)
-            getattr(op, array)[j] *= -1.0
-            with pytest.raises(ConvergenceError, match="commute with J"):
-                spectral._spectrum_of(f, op)
+        real_table = spectral.quarter_trig_table
+        monkeypatch.setattr(np.linalg, "eig", explode)
+        spectral._frame.cache_clear()
+        for k in [k for k in range(4 * f.q) if k % f.q]:
+
+            def negated(q, k=k):
+                tables = dict(zip(("cos", "sin"), real_table(q)))
+                tables[array][k] *= -1.0
+                return tables["cos"], tables["sin"]
+
+            monkeypatch.setattr(spectral, "quarter_trig_table", negated)
+            with pytest.raises(ConvergenceError, match=r"q = 5 .* \(J U J != U\)"):
+                spectrum(f, order)
 
     def test_blocks_are_the_dense_sector_blocks(self):
         # A+- and B+- bitwise equal the blocks of U11 +- U12 K of the dense

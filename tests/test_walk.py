@@ -28,7 +28,7 @@ from iqwalk import (
     support,
 )
 from iqwalk.walk import DEFAULT_SPINOR
-from oracles import extend_copy_schedule, step_loop
+from oracles import adjoint_step_loop, extend_copy_schedule, step_loop
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 # spinor whose component probabilities are exact dyadic floats
@@ -457,3 +457,50 @@ class TestEvolveProperty:
         if q is not None and -q < site < q:
             # every amplitude outside [-q, q] is exactly zero, so the window is inside
             assert -q <= got.offset and got.offset + len(got.amplitudes) - 1 <= q
+
+
+@st.composite
+def adjoint_cases(draw):
+    """(schedule factory, state, order) for adjoint_step: the schedules of
+    walk_cases and alpha = 1/2, on a walked state or on a random dense
+    window at any offset and step count, with exact +0.0 and -0.0 parts."""
+    make, _, spinor, order, site, steps = draw(walk_cases())
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        make = DIFFERENTIAL_SCHEDULES["1/2"]
+    if draw(st.booleans()):
+        return make, evolve(spinor, make(), steps, order, site), order
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    parts = rng.normal(size=(2, n, 2))
+    zero = rng.random(size=parts.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    parts[zero] = np.where(rng.random(size=int(zero.sum())) < 0.5, 0.0, -0.0)
+    if not parts.any():
+        parts[0, 0, 0] = 1.0
+    parts /= math.sqrt(np.sum(parts**2))
+    amps = np.empty((n, 2), dtype=complex)
+    amps.real, amps.imag = parts
+    return make, WalkerState(site, amps, steps % 5), order
+
+
+class TestAdjointAgainstReference:
+    """adjoint_step, the step kernel run in the other order on the
+    chirality-swapped state, against U^H applied directly."""
+
+    @given(adjoint_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_adjoint_step_is_bitwise_the_reference(self, case):
+        make, state, order = case
+        got = adjoint_step(state, make(), order)
+        want = adjoint_step_loop(state, make(), order)
+        assert (got.offset, got.step_count) == (want.offset, want.step_count)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert got.amplitudes.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["WC", "CW"])
+    def test_drift_names_the_step_count_it_would_reach(self, order):
+        state = initial_state((0.6, 0.8j))
+        with pytest.raises(NumericalDriftError) as raised:
+            for _ in range(40):
+                state = adjoint_step(state, _Stretched(), order)
+        assert -40 < state.step_count < -5
+        assert f"after step {state.step_count - 1} (" in str(raised.value)
