@@ -170,7 +170,7 @@ def recurrence_series(
     series = [(0, origin_probability(state))]
     amps = state.amplitudes
     for t, start, left, right in _sublattice_steps(
-        0, amps[:, 0], amps[:, 1], schedule, order, t_max
+        0, 2, amps[:, 0], amps[:, 1], schedule.coin_entries, order, range(1, t_max + 1)
     ):
         i, odd = divmod(-start, 2)  # the origin's packed index; odd times miss it
         if odd or not 0 <= i < len(left):
@@ -225,7 +225,7 @@ def spread_exponent(
     tails: list[float] = []
     want = set(times)
     for t, start, left, right in _sublattice_steps(
-        0, amps[:, 0], amps[:, 1], schedule, order, times[-1]
+        0, 2, amps[:, 0], amps[:, 1], schedule.coin_entries, order, range(1, times[-1] + 1)
     ):
         if t in want:
             # moments of the dense state: sums over the packed rows would round differently

@@ -27,7 +27,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import recurrence_series, spread_exponent
 from .coins import CoinSchedule, RandomSchedule, RotationalSchedule
-from .diophantine import quarter_approximants
+from .diophantine import DEFAULT_Q_MAX, _float_midpoint, quarter_approximants
 from .duality import verify_duality
 from .errors import (
     ConvergenceError,
@@ -195,7 +195,7 @@ def _build_parser() -> _Parser:
     add("butterfly", "spectra for every quarter fraction up to q-max", qmax=True)
     approx = add("approximate", "certified quarter-fraction approximants", alpha=True)
     approx.add_argument("--count", type=int, default=3)
-    approx.add_argument("--qmax", "--q-max", dest="q_max", type=int, default=100_000)
+    approx.add_argument("--qmax", "--q-max", dest="q_max", type=int, default=DEFAULT_Q_MAX)
     add("duality-check", "role-swap residuals on the ring", alpha=True)
     add("properties", "spectral property report", alpha=True)
     add("recurrence", "origin probability over time", alpha=True, walk=True)
@@ -232,8 +232,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if q_max < 1 and command in ("butterfly", "approximate"):
         raise UsageError(f"--q-max must be positive, got {q_max}")
     count = getattr(ns, "count", 3)
-    if command == "approximate" and count < 1:
-        raise UsageError(f"--count must be positive, got {count}")
+    if command == "approximate":
+        if count < 1:
+            raise UsageError(f"--count must be positive, got {count}")
+        try:
+            _float_midpoint(alpha.enclosure)
+        except ValueError:
+            raise UsageError(f"alpha {alpha.source_text!r} is beyond double range") from None
     theta = getattr(ns, "theta", 0.5)
     if not math.isfinite(theta):
         raise UsageError(f"--theta must be finite, got {theta!r}")

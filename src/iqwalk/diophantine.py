@@ -167,6 +167,14 @@ def _convergent_candidates(alpha: RealEnclosure, q_max: int) -> dict[int, int]:
     return found
 
 
+def _float_midpoint(alpha: RealEnclosure) -> float:
+    """alpha's midpoint as a float; ValueError when it is beyond double range."""
+    try:
+        return float(alpha.midpoint)
+    except OverflowError:
+        raise ValueError(f"{alpha} is beyond double range") from None
+
+
 def quarter_approximants(
     alpha: RealEnclosure, count: int = 3, q_max: int = DEFAULT_Q_MAX
 ) -> list[QuarterApproximant]:
@@ -177,6 +185,7 @@ def quarter_approximants(
     before being kept, so the result for count k is always a prefix of
     the result for count k+1.  Fewer than `count` hits within q_max is
     reported as a short list; zero hits raises NoApproximantFoundError.
+    An enclosure whose midpoint is beyond double range raises ValueError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -187,8 +196,8 @@ def quarter_approximants(
             f"{alpha} is exactly rational at the stored precision; "
             "quarter approximants need an irrational enclosure"
         )
+    mid = _float_midpoint(alpha)
     from_convergents = _convergent_candidates(alpha, q_max)
-    mid = float(alpha.midpoint)
     width = alpha.width
     out: list[QuarterApproximant] = []
     stopped_by_precision = False

@@ -13,17 +13,15 @@ exactly-zero boundary rows are trimmed after each step, which clamps
 the window to [-q, q] automatically whenever the schedule confines the
 walk.
 
-Every step moves each amplitude by exactly one site, so a walker started
-at `site` is nonzero only on sites n = site + t (mod 2) after t steps.
-`step` and `adjoint_step` run one dense kernel over the whole window, on
-fresh arrays.  Long walks run on one engine, `_sublattice_steps`, which
-stores only that sublattice, packed as [L | R] in one of two buffers
-that it alternates between, and makes the same products and sums per
-sublattice site as `step`.  `evolve` runs it to the end, and
-`analysis.recurrence_series` and `analysis.spread_exponent` read the
-origin or the moments after each step.  Its sublattice amplitudes are
-byte-equal to those of repeated `step` calls; every other entry of a
-state it expands is +0.0, where `step` may hold -0.0.
+Every step, dense or sublattice, runs one engine, `_sublattice_steps`.
+`step` and `adjoint_step` take one stride-1 step of the whole window into
+fresh arrays.  A walker started at `site` is nonzero only on sites
+n = site + t (mod 2) after t steps, so `evolve`,
+`analysis.recurrence_series` and `analysis.spread_exponent` step only
+that sublattice, at stride 2, with the same products and sums per site:
+their sublattice amplitudes are byte-equal to those of repeated `step`
+calls, and every other entry of a state they expand is +0.0, where
+`step` may hold -0.0.
 """
 
 from __future__ import annotations
@@ -147,65 +145,74 @@ def _drift_error(nrm: float, step_count: int) -> NumericalDriftError:
 
 def _sublattice_steps(
     start: int,
+    stride: int,
     left: np.ndarray,
     right: np.ndarray,
-    schedule: CoinSchedule,
+    coin_entries: Callable[[int, int], tuple[np.ndarray, ...]],
     order: WalkOrder,
-    steps: int,
+    counts: range,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Step the sublattice window (left, right), whose sites are start,
-    start + 2, ..., and yield (t, start, left, right) after each step
-    t = 1..steps.
+    """Step the window (left, right), whose sites are start, start + stride,
+    ..., once per count in counts, and yield (count, start, left, right)
+    after each step.
 
-    The walk engine of `evolve`, `recurrence_series` and
-    `spread_exponent`.  Each window is packed as [L | R] in one of two
-    buffers, which double when a window outgrows them, up to the
-    2*steps + 2 entries of the widest possible window; a yielded window
-    is a view that the step after next overwrites.  Coins come from
+    The one walk engine: stride 2 steps a walker's sublattice (`evolve`,
+    `recurrence_series`, `spread_exponent`), stride 1 a dense window
+    (`step`, `adjoint_step`).  The stride enters only the index
+    arithmetic, and at stride 1 in "WC" order two more end entries to zero.
+    Windows are packed as [L | R] in two alternating buffers that grow up
+    to the widest window the counts can reach; a yielded window is a view
+    that the step after next overwrites.  Coin rows (a, b, c, d) come from
     `coin_entries` over a span around the first site that doubles when a
-    step needs a site outside it, up to the `steps` sites on either side
-    that a walk can reach; each fetch is copied once into contiguous rows
-    per site parity, of which every step slices its own.  Each output is
-    a*L + b*R or c*L + d*R over the coins of every second site: the
-    operations `step` makes at the sites that can be nonzero, which leave
-    the same bits.  The drift gate and the exact-zero trim are those of
-    `step`.  Any order other than "WC" runs as "CW", so callers check it.
+    step needs a site outside it, clamped to the sites the counts can
+    reach, and are taken once per fetch as contiguous rows per residue mod
+    stride.  Each output is a*L + b*R or c*L + d*R, multiplied and added in
+    place.  The drift gate raises NumericalDriftError naming the count, and
+    exactly-zero boundary sites are trimmed.  Any order other than "WC"
+    runs as "CW", so callers check it.
     """
     # local names, positional outputs and few views: small windows are bound by
     # per-step overhead
     mul, add, vdot, sqrt = np.multiply, np.add, np.vdot, math.sqrt
-    wc, centre, reach, size = order == "WC", start, 0, 0
+    wc, dense, grow, steps = order == "WC", stride == 1, 3 - stride, len(counts)
+    centre, reach, size = start, 0, 0
+    floor, ceiling = start - steps, start + stride * (len(left) - 1) + steps
+    widest = 2 * (len(left) + grow * steps)
     span_lo, span_hi = start, start - 1
-    for count in range(1, steps + 1):
+    for count in counts:
         n = len(left)
-        m = n + 1
+        m = n + grow
         if 2 * m > size:
-            size = min(4 * m, 2 * steps + 2)
+            size = min(4 * m, widest)
             buffer, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
             scratch = np.empty(3 * size // 2, dtype=complex)
         first, k = (start, n) if wc else (start - 1, m)
-        last = first + 2 * k - 2  # coins at first, first + 2, ..., last
+        last = first + stride * (k - 1)  # coins at first, first + stride, ..., last
         if first < span_lo or last > span_hi:
             # at least 8 sites a side, so that the first steps share one fetch
-            reach = min(max(2 * reach, centre - first, last - centre, 8), steps)
-            span_lo, span_hi = centre - reach, centre + reach
-            rows = schedule.coin_entries(span_lo, span_hi)
-            parity_rows = [tuple(row[p::2].copy() for row in rows) for p in (0, 1)]
-        i, parity = divmod(first - span_lo, 2)
-        a, b, c, d = parity_rows[parity]
+            reach = max(2 * reach, centre - first, last - centre, 8)
+            span_lo, span_hi = max(centre - reach, floor), min(centre + reach, ceiling)
+            rows = coin_entries(span_lo, span_hi)
+            residue_rows = [
+                tuple(np.ascontiguousarray(row[r::stride]) for row in rows) for r in range(stride)
+            ]
+        i, residue = divmod(first - span_lo, stride)
+        a, b, c, d = residue_rows[residue]
         a, b, c, d = a[i : i + k], b[i : i + k], c[i : i + k], d[i : i + k]
         buffer, spare = spare, buffer  # the window being read stays in spare
         new = buffer[: 2 * m]
         if wc:
-            tmp, out_left, out_right = scratch[:n], new[:n], new[m + 1 :]
+            tmp, out_left, out_right = scratch[:n], new[:n], new[m + grow :]
             mul(a, left, out_left)
             add(out_left, mul(b, right, tmp), out_left)
             mul(c, left, out_right)
             add(out_right, mul(d, right, tmp), out_right)
             new[n] = new[m] = 0  # the last L site and the first R site
+            if dense:
+                new[n + 1] = new[m + 1] = 0  # and the second of each
         else:
             shifted, tmp = scratch[: 2 * m], scratch[2 * m : 3 * m]
-            shifted[:n], shifted[n : n + 2], shifted[n + 2 :] = left, 0, right
+            shifted[:n], shifted[n : m + grow], shifted[m + grow :] = left, 0, right
             from_right, from_left = shifted[:m], shifted[m:]  # L from s+1, R from s-1
             new_left, new_right = new[:m], new[m:]
             mul(a, from_right, new_left)
@@ -220,7 +227,7 @@ def _sublattice_steps(
             lo += 1
         while hi - lo > 1 and not (new[hi - 1] or new[m + hi - 1]):
             hi -= 1
-        start, left, right = start - 1 + 2 * lo, new[lo:hi], new[m + lo : m + hi]
+        start, left, right = start - 1 + stride * lo, new[lo:hi], new[m + lo : m + hi]
         yield count, start, left, right
 
 
@@ -233,54 +240,25 @@ def _sublattice_state(
     return _state(start, amps, step_count)
 
 
-def _dense_step(
-    offset: int, amps: np.ndarray, coins: Callable, order: str, count: int
+def _window_step(
+    state: WalkerState, coin_entries: Callable, order: WalkOrder, count: int, left_column: int
 ) -> WalkerState:
-    """`step`'s kernel: the N-site window amps at offset, stepped with the
-    coin rows (a, b, c, d) = coins(lo, hi) of sites lo..hi into a fresh
-    (N + 2, 2) array for sites offset - 1 onwards, every entry of which is
-    written: each output is a*L + b*R or c*L + d*R, multiplied and added in
-    place.  Then the drift gate at step count, and the trim of exactly-zero
-    boundary sites, which keeps the window minimal.
-    """
-    n = len(amps)
-    left, right = amps[:, 0], amps[:, 1]
-    new, scratch = np.empty((n + 2, 2), dtype=complex), np.empty((3, n + 2), dtype=complex)
-    if order == "WC":
-        a, b, c, d = coins(offset, offset + n - 1)
-        tmp, out_left, out_right = scratch[0, :n], new[:n, 0], new[2:, 1]
-        np.multiply(a, left, out=out_left)
-        np.add(out_left, np.multiply(b, right, out=tmp), out=out_left)
-        np.multiply(c, left, out=out_right)
-        np.add(out_right, np.multiply(d, right, out=tmp), out=out_right)
-        new[n, 0] = new[n + 1, 0] = new[0, 1] = new[1, 1] = 0  # L lands on n-1, R on n+1
-    elif order == "CW":
-        a, b, c, d = coins(offset - 1, offset + n)
-        tmp, from_right, from_left = scratch
-        from_right[:n], from_right[n:] = left, 0  # site m sees L from m+1
-        from_left[:2], from_left[2:] = 0, right  # site m sees R from m-1
-        out_left, out_right = new[:, 0], new[:, 1]
-        np.multiply(a, from_right, out=out_left)
-        np.add(out_left, np.multiply(b, from_left, out=tmp), out=out_left)
-        np.multiply(c, from_right, out=out_right)
-        np.add(out_right, np.multiply(d, from_left, out=tmp), out=out_right)
-    else:
-        raise ValueError(f"unknown walk order {order!r}")
-    nrm = math.sqrt(np.vdot(new, new).real)
-    if not abs(nrm - 1.0) <= DRIFT_LIMIT:
-        raise _drift_error(nrm, count)
-    lo, hi = 0, n + 2
-    while hi - lo > 1 and not (new[lo, 0] or new[lo, 1]):
-        lo += 1
-    while hi - lo > 1 and not (new[hi - 1, 0] or new[hi - 1, 1]):
-        hi -= 1
-    return _state(offset - 1 + lo, new if hi - lo == n + 2 else new[lo:hi].copy(), count)
+    """One stride-1 engine step, numbered count, of state's whole window
+    with L in column left_column, unpacked into a fresh (N, 2) array."""
+    amps, left, right = state.amplitudes, left_column, 1 - left_column
+    ((_, start, new_left, new_right),) = _sublattice_steps(
+        state.offset, 1, amps[:, left], amps[:, right], coin_entries, order, range(count, count + 1)
+    )
+    out = np.empty((len(new_left), 2), dtype=complex)
+    out[:, left], out[:, right] = new_left, new_right
+    return _state(start, out, count)
 
 
 def step(state: WalkerState, schedule: CoinSchedule, order: WalkOrder = "WC") -> WalkerState:
-    """One unitary step of the walk; returns a new state."""
-    count = state.step_count + 1
-    return _dense_step(state.offset, state.amplitudes, schedule.coin_entries, order, count)
+    """One unitary step of the walk, a stride-1 engine step of the state's
+    window; returns a new state.  An unknown order raises ValueError."""
+    _check_order(order)
+    return _window_step(state, schedule.coin_entries, order, state.step_count + 1, 0)
 
 
 def adjoint_step(
@@ -289,9 +267,10 @@ def adjoint_step(
     """Inverse of `step` with the same schedule and order.
 
     With X the chirality swap, (W C)^H = X (C' W) X and (C W)^H = X (W C') X
-    for C' = X C^H X, rows (conj d, conj b, conj c, conj a): `step`'s kernel
-    in the other order, whose products are those of U^H and whose sums only
-    swap their two terms, so the bits are the same.
+    for C' = X C^H X, rows (conj d, conj b, conj c, conj a): the engine
+    step of `step` in the other order on the chirality-swapped state,
+    whose products are those of U^H and whose sums only swap their two
+    terms, so the bits are the same.
     """
     _check_order(order)
 
@@ -299,9 +278,8 @@ def adjoint_step(
         a, b, c, d = schedule.coin_entries(lo, hi)
         return np.conj(d), np.conj(b), np.conj(c), np.conj(a)
 
-    other, count = ("CW" if order == "WC" else "WC"), state.step_count - 1
-    swapped = _dense_step(state.offset, state.amplitudes[:, ::-1], adjoint_coins, other, count)
-    return _state(swapped.offset, swapped.amplitudes[:, ::-1].copy(), count)
+    other = "CW" if order == "WC" else "WC"
+    return _window_step(state, adjoint_coins, other, state.step_count - 1, 1)
 
 
 def evolve(
@@ -331,7 +309,7 @@ def evolve(
         return state
     amps = state.amplitudes
     for _, start, left, right in _sublattice_steps(
-        state.offset, amps[:, 0], amps[:, 1], schedule, order, steps
+        state.offset, 2, amps[:, 0], amps[:, 1], schedule.coin_entries, order, range(1, steps + 1)
     ):
         pass
     return _sublattice_state(start, left, right, steps)

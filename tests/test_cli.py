@@ -148,6 +148,8 @@ class TestParseArgs:
             (["evolve", "--alpha", "1/4", "--initial", "1", "1"], "unit norm"),
             (["evolve", "--alpha", "1/4", "--initial", "x", "y"], "spinor"),
             (["frobnicate"], "invalid choice"),
+            (["approximate", "--alpha", "1e400"], "beyond double range"),
+            (["approximate", "--alpha", "1.8e308"], "beyond double range"),
         ],
     )
     def test_usage_errors(self, argv, message):
@@ -289,6 +291,24 @@ class TestApproximateCommand:
         code, _, err = run(["approximate", "--alpha", "1/12"], capsys)
         assert code == 1
         assert "rational" in err
+
+    @pytest.mark.parametrize(
+        "alpha,code,reason",
+        [
+            ("1e400", 1, "beyond double range"),
+            ("1e300", 2, "precision ran out"),
+            ("1.7976931348623157e308", 2, "precision ran out"),
+        ],
+    )
+    def test_huge_alpha_fails_with_one_line(self, capsys, alpha, code, reason):
+        got, out, err = run(["approximate", "--alpha", alpha], capsys)
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and reason in err
+
+    def test_huge_alpha_still_walks(self, capsys):
+        code, out, err = run(["evolve", "--alpha", "1e400", "--steps", "5"], capsys)
+        assert (code, err) == (0, "")
+        assert os.path.exists(out.strip())
 
 
 def _reject_constant(name):

@@ -205,6 +205,14 @@ class TestQuarterApproximants:
         with pytest.raises(NoApproximantFoundError, match="precision ran out"):
             quarter_approximants(enc, count=1, q_max=50)
 
+    def test_midpoint_beyond_double_range_is_rejected(self):
+        huge = RealEnclosure.from_decimal("1e400", uncertainty_last_place=1)
+        with pytest.raises(ValueError, match="beyond double range"):
+            quarter_approximants(huge)
+        largest = RealEnclosure.from_decimal("1.7976931348623157e308", uncertainty_last_place=1)
+        with pytest.raises(NoApproximantFoundError, match="precision ran out"):
+            quarter_approximants(largest)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="count"):
             quarter_approximants(golden_mean(40), count=0)

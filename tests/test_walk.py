@@ -482,6 +482,40 @@ def adjoint_cases(draw):
     return make, WalkerState(site, amps, steps % 5), order
 
 
+@st.composite
+def step_cases(draw):
+    """(schedule factory, state, order, steps) for step: the states of
+    adjoint_cases with up to two all-zero rows of +0.0 and -0.0 parts on
+    either end, so that a step trims at one end, both or neither."""
+    make, state, order = draw(adjoint_cases())
+    signed_zero = st.sampled_from([0.0, -0.0])
+    below, above = (draw(st.integers(min_value=0, max_value=2)) for _ in range(2))
+    rows = [[complex(draw(signed_zero), draw(signed_zero)) for _ in range(2)]
+            for _ in range(below + above)]
+    pad = np.array(rows, dtype=complex).reshape(-1, 2)
+    amps = np.concatenate((pad[:below], state.amplitudes, pad[below:]))
+    state = WalkerState(state.offset - below, amps, state.step_count)
+    return make, state, order, draw(st.integers(min_value=1, max_value=4))
+
+
+class TestStepAgainstReference:
+    """step, one stride-1 step of the walk engine, against the temporaries
+    stepper over a cache copied on every growth: the same offset, step
+    count and amplitude bytes, zero signs included, step after step."""
+
+    @given(step_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_step_is_bitwise_the_reference(self, case):
+        make, state, order, steps = case
+        got, want = state, state
+        schedule, cache = make(), extend_copy_schedule(make())
+        for _ in range(steps):
+            got, want = step(got, schedule, order), step_loop(want, cache, order)
+            assert (got.offset, got.step_count) == (want.offset, want.step_count)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert got.amplitudes.base is None and got.amplitudes.flags.c_contiguous
+
+
 class TestAdjointAgainstReference:
     """adjoint_step, the step kernel run in the other order on the
     chirality-swapped state, against U^H applied directly."""
