@@ -27,7 +27,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import recurrence_series, spread_exponent
 from .coins import CoinSchedule, RandomSchedule, RotationalSchedule
-from .diophantine import DEFAULT_Q_MAX, _float_midpoint, quarter_approximants
+from .diophantine import DEFAULT_Q_MAX, quarter_approximants
 from .duality import verify_duality
 from .errors import (
     ConvergenceError,
@@ -235,9 +235,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if command == "approximate":
         if count < 1:
             raise UsageError(f"--count must be positive, got {count}")
-        try:
-            _float_midpoint(alpha.enclosure)
-        except ValueError:
+        try:  # the output holds each approximant and its error as JSON floats
+            float(alpha.enclosure.midpoint)
+        except OverflowError:
             raise UsageError(f"alpha {alpha.source_text!r} is beyond double range") from None
     theta = getattr(ns, "theta", 0.5)
     if not math.isfinite(theta):

@@ -3,8 +3,11 @@
 Every bound here is decided in exact rational arithmetic over the
 input's enclosure, never in floating point.  A partial quotient is
 emitted only when both enclosure endpoints agree on it, so the
-expansion can never be altered by rounding; approximant certificates
-|alpha - p/(4q)| < 1/(4q^2) are exact Fraction comparisons.
+expansion can never be altered by rounding.  Approximant candidates
+p/(4q) are the integers that floor and ceiling division of the
+enclosure's ends leave for each q, and their certificates
+|alpha - p/(4q)| < 1/(4q^2) are exact Fraction comparisons, so the
+search works for alpha of any magnitude, inside double range or not.
 """
 
 from __future__ import annotations
@@ -150,42 +153,23 @@ def verify_bound(alpha: RealEnclosure, f: QuarterFraction) -> bool:
     return sup < Fraction(1, 4 * q2)
 
 
-def _convergent_candidates(alpha: RealEnclosure, q_max: int) -> dict[int, int]:
-    """Odd-numerator convergents of 4*alpha as {q: p} candidates."""
-    try:
-        cf = continued_fraction(alpha.scaled(4), max_depth=128)
-    except PrecisionExhaustedError:
-        return {}
-    found: dict[int, int] = {}
-    for conv in convergents(cf):
-        if (
-            conv.numerator >= 1
-            and conv.numerator % 2 == 1
-            and conv.denominator <= q_max
-        ):
-            found.setdefault(conv.denominator, conv.numerator)
-    return found
-
-
-def _float_midpoint(alpha: RealEnclosure) -> float:
-    """alpha's midpoint as a float; ValueError when it is beyond double range."""
-    try:
-        return float(alpha.midpoint)
-    except OverflowError:
-        raise ValueError(f"{alpha} is beyond double range") from None
-
-
 def quarter_approximants(
     alpha: RealEnclosure, count: int = 3, q_max: int = DEFAULT_Q_MAX
 ) -> list[QuarterApproximant]:
     """First `count` certified quarter-fraction approximants, by ascending q.
 
-    Candidates come from the convergents of 4*alpha plus, for every q,
-    the integers nearest 4*alpha*q; each candidate is certified exactly
-    before being kept, so the result for count k is always a prefix of
-    the result for count k+1.  Fewer than `count` hits within q_max is
-    reported as a short list; zero hits raises NoApproximantFoundError.
-    An enclosure whose midpoint is beyond double range raises ValueError.
+    |alpha - p/(4q)| < 1/(4q^2) over the whole enclosure holds exactly
+    for the integers p strictly between 4q*hi - 1/q and 4q*lo + 1/q, so
+    for every q the candidates are those integers, found by floor and
+    ceiling division on the endpoints' numerators and denominators; at
+    most one of them is odd.  Each odd candidate coprime to q is
+    certified by verify_bound before being kept, so the result for
+    count k is always a prefix of the result for count k+1.  The search
+    stops where the bound becomes undecidable (8 q^2 width >= 1).
+    Fewer than `count` hits within q_max is reported as a short list;
+    zero hits raises NoApproximantFoundError.  No step leaves integer
+    arithmetic, so an enclosure beyond double range is searched like
+    any other and raises no ValueError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -196,35 +180,29 @@ def quarter_approximants(
             f"{alpha} is exactly rational at the stored precision; "
             "quarter approximants need an irrational enclosure"
         )
-    mid = _float_midpoint(alpha)
-    from_convergents = _convergent_candidates(alpha, q_max)
+    lo_num, lo_den = alpha.lo.numerator, alpha.lo.denominator
+    hi_num, hi_den = alpha.hi.numerator, alpha.hi.denominator
     width = alpha.width
+    # the last q with 8 q^2 width < 1; the bound check is undecidable beyond it
+    q_stop = math.isqrt((width.denominator - 1) // (8 * width.numerator))
     out: list[QuarterApproximant] = []
-    stopped_by_precision = False
-    for q in range(1, q_max + 1):
-        if width >= Fraction(1, 8 * q * q):
-            stopped_by_precision = True  # bound check undecidable from here on
-            break
-        scaled = 4.0 * mid * q
-        candidates = {math.floor(scaled), math.ceil(scaled)}
-        if q in from_convergents:
-            candidates.add(from_convergents[q])
-        for p in sorted(candidates):
-            if p < 1 or p % 2 == 0 or math.gcd(p, q) != 1:
-                continue
-            # cheap float prefilter with a safety margin, then exact proof
-            if abs(scaled - p) > 1.0 / q + 1e-6:
+    for q in range(1, min(q_max, q_stop) + 1):
+        four_q2 = 4 * q * q
+        # p > (4q^2 hi - 1) / q and p < (4q^2 lo + 1) / q
+        first = (four_q2 * hi_num - hi_den) // (q * hi_den) + 1
+        last = -((-four_q2 * lo_num - lo_den) // (q * lo_den)) - 1
+        for p in range(max(first, 1) | 1, last + 1, 2):
+            if math.gcd(p, q) != 1:
                 continue
             f = QuarterFraction(p, q)
             if verify_bound(alpha, f):
                 out.append(QuarterApproximant(f, True))
-                break  # at most one p can satisfy the bound for a given q
         if len(out) >= count:
             return out
     if not out:
         detail = (
             "stored precision ran out before any bound check became decidable"
-            if stopped_by_precision
+            if q_stop < q_max
             else f"no certified approximant with q <= {q_max}"
         )
         raise NoApproximantFoundError(f"{alpha}: {detail}")

@@ -131,21 +131,35 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     4q), so it fixes c and negates s.  Negation is exact and
     fl(x + (-y)) = fl(x - y), so the fourth residual matrix at (m, n) is
     the first at (-m, -n) and the third is the second, bit for bit.
+
+    The shift compares offset row slices, plus the one wrapped row,
+    instead of rolled copies, and the products and differences go into
+    two work arrays: each entry is the same subtraction, so the same float.
     """
     size = 4 * f.q
     cos, sin = quarter_trig_table(f.q)
     k = _residues(f.p, f.q, size)
     c, s = cos[k], sin[k]
     # row m, column n: |n, L~> = (sin_mn, cos_mn), |n, R~> = (cos_mn, sin_mn) at site m
-    index = k[:, None] * np.arange(size) % size
+    index = np.multiply.outer(k, np.arange(size))
+    index %= size
     cos_mn, sin_mn = cos[index], sin[index]
     # the shift moves L from site m+1 and R from m-1; dual site n's coin scales column n
+    coined, work = np.empty_like(cos_mn), np.empty_like(cos_mn)
     residual = max(
-        _gap(np.roll(sin_mn, -1, axis=0), c * sin_mn + s * cos_mn),
-        _gap(np.roll(cos_mn, 1, axis=0), c * cos_mn + s * sin_mn),
+        _gap(sin_mn, cos_mn, 1, c, s, coined, work),
+        _gap(cos_mn, sin_mn, -1, c, s, coined, work),
     )
     return DualityResiduals(residual, residual)
 
 
-def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
+def _gap(x, y, shift, c, s, coined, work) -> float:
+    """max |x[(m + shift) mod M] - (c x + s y)[m]| over rows m, in the work arrays."""
+    np.multiply(c, x, out=coined)
+    np.multiply(s, y, out=work)
+    coined += work
+    cut = shift % len(x)
+    split = len(x) - cut
+    np.subtract(x[cut:], coined[:split], out=work[:split])
+    np.subtract(x[:cut], coined[split:], out=work[split:])
+    return float(np.abs(work, out=work).max())

@@ -305,6 +305,27 @@ class TestApproximateCommand:
         assert (got, out) == (code, "")
         assert err.count("\n") == 1 and reason in err
 
+    def test_alpha_near_double_max_runs_out_of_precision(self, capsys):
+        # inside double range, but 4 * alpha * q overflows a float from q = 5;
+        # the exact search finds no odd p within the 79 decidable q
+        alpha = "1" + "0" * 307 + ".00000"
+        code, out, err = run(["approximate", "--alpha", alpha], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "stored precision ran out" in err
+        assert "Traceback" not in err
+
+    def test_integer_part_beyond_double_precision(self, capsys):
+        digits = "6180339887498948482045868343656381177203091798"
+        shift = 10**20
+        pairs = []
+        for alpha in (f"0.{digits}", f"{shift}.{digits}"):
+            code, out, _ = run(["approximate", "--alpha", alpha, "--count", "4"], capsys)
+            assert code == 0
+            payload = json.loads(open(out.strip()).read())
+            pairs.append([(a["p"], a["q"]) for a in payload["approximants"]])
+        assert [q for _, q in pairs[0]] == [1, 2, 19, 36]
+        assert pairs[1] == [(p + 4 * q * shift, q) for p, q in pairs[0]]
+
     def test_huge_alpha_still_walks(self, capsys):
         code, out, err = run(["evolve", "--alpha", "1e400", "--steps", "5"], capsys)
         assert (code, err) == (0, "")

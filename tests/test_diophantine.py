@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqwalk import (
     ContinuedFraction,
@@ -22,6 +24,11 @@ from iqwalk import (
     verify_bound,
 )
 from oracles import brute_force_quarter_approximants, mp_cos_sin
+
+
+def _pairs(approximants):
+    return [(a.fraction.p, a.fraction.q) for a in approximants]
+
 
 IRRATIONALS = {
     "pi/2": pi_half,
@@ -193,12 +200,71 @@ class TestQuarterApproximants:
         short = quarter_approximants(blurred, count=3)
         assert [(a.fraction.p, a.fraction.q) for a in short] == [(3, 1), (5, 2)]
 
+    @pytest.mark.parametrize(
+        "width_den,expected",
+        [(2700, [(3, 1), (5, 2)]), (2900, [(3, 1), (5, 2), (47, 19)])],
+    )
+    def test_search_stops_at_the_last_decidable_q(self, width_den, expected):
+        # 47/76 lies within 1/19 of 4*19*alpha for both widths, but only
+        # 8 * 19^2 / 2900 < 1 lets the bound at q = 19 be decided
+        g = golden_mean(40)
+        enc = RealEnclosure(g.lo, g.lo + Fraction(1, width_den), "golden~blurred")
+        assert _pairs(quarter_approximants(enc, count=3)) == expected
+
     def test_no_hit_within_q_max(self):
-        # nothing certifies near 1/2: |2 - p/q| >= 1/q > 1/q^2 for odd p
-        lo = Fraction(1, 2) + Fraction(1, 10**40)
-        enc = RealEnclosure(lo, lo + Fraction(1, 10**45), "near-half")
+        # the enclosure straddles 1/2, so 4q*alpha reaches both sides of the
+        # even number 2q; an odd p lies at least 1 from 2q, so on the far side
+        # |4q*alpha - p| > 1 >= 1/q, and no odd p certifies for any q
+        half, tiny = Fraction(1, 2), Fraction(1, 10**45)
+        enc = RealEnclosure(half - tiny, half + tiny, "around-half")
         with pytest.raises(NoApproximantFoundError, match="q <= 50"):
             quarter_approximants(enc, count=1, q_max=50)
+
+    def test_just_above_half_certifies_three_quarters(self):
+        # |1/2 + 1e-40 - 3/4| < 1/4: p = 3 certifies at q = 1
+        lo = Fraction(1, 2) + Fraction(1, 10**40)
+        enc = RealEnclosure(lo, lo + Fraction(1, 10**45), "near-half")
+        assert _pairs(quarter_approximants(enc, count=1, q_max=50)) == [(3, 1)]
+
+    def test_integer_shift_moves_only_the_numerators(self):
+        # alpha + N has exactly the approximants (p + 4qN, q) of alpha
+        digits = "6180339887498948482045868343656381177203091798"
+        small = RealEnclosure.from_decimal(f"0.{digits}", uncertainty_last_place=1)
+        shift = 10**20
+        big = RealEnclosure.from_decimal(f"{shift}.{digits}", uncertainty_last_place=1)
+        expected = _pairs(quarter_approximants(small, count=4))
+        assert [q for _, q in expected] == [1, 2, 19, 36]
+        got = _pairs(quarter_approximants(big, count=4))
+        assert got == [(p + 4 * q * shift, q) for p, q in expected]
+
+    @given(
+        st.integers(min_value=-2, max_value=25),
+        st.integers(min_value=10**69, max_value=10**70 - 1),
+        st.integers(min_value=8, max_value=59),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exhaustive_search_at_any_magnitude(
+        self, exponent, mantissa, width_exponent, width_digits, count
+    ):
+        # alpha in [10^-3, 10^25), width in [1e-60, 1e-8]; the oracle runs on
+        # alpha - N for its integer part N, and the shift adds 4qN to each p
+        lo = Fraction(mantissa, 10**70) * Fraction(10) ** exponent
+        width = Fraction(width_digits, 10 ** (width_exponent + 1))
+        enc = RealEnclosure(lo, lo + width)
+        q_limit = 60
+        assert 8 * q_limit**2 * width < 1  # both stop at q_limit, not at the precision stop
+        shift = math.floor(lo)
+        reference = brute_force_quarter_approximants(
+            lo - shift, lo + width - shift, count, q_limit
+        )
+        expected = [(p + 4 * q * shift, q) for p, q in reference]
+        if not expected:
+            with pytest.raises(NoApproximantFoundError, match=f"q <= {q_limit}"):
+                quarter_approximants(enc, count=count, q_max=q_limit)
+        else:
+            assert _pairs(quarter_approximants(enc, count=count, q_max=q_limit)) == expected
 
     def test_no_hit_because_precision_ran_out(self):
         enc = RealEnclosure(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 80))
@@ -206,8 +272,10 @@ class TestQuarterApproximants:
             quarter_approximants(enc, count=1, q_max=50)
 
     def test_midpoint_beyond_double_range_is_rejected(self):
+        # the search is exact integer arithmetic, so magnitude alone raises
+        # nothing: a width of 2e400 leaves no decidable q
         huge = RealEnclosure.from_decimal("1e400", uncertainty_last_place=1)
-        with pytest.raises(ValueError, match="beyond double range"):
+        with pytest.raises(NoApproximantFoundError, match="precision ran out"):
             quarter_approximants(huge)
         largest = RealEnclosure.from_decimal("1.7976931348623157e308", uncertainty_last_place=1)
         with pytest.raises(NoApproximantFoundError, match="precision ran out"):

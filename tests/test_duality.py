@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestAgainstLoops:
     @given(quarter_fractions(q_max=40))
     @settings(max_examples=8)
     def test_sampled_fractions_up_to_q40(self, f):
+        r = verify_duality(f)
+        assert (r.shift_as_coin, r.coin_as_shift) == verify_duality_loop(f)
+
+    @pytest.mark.parametrize("q", range(13, 41))
+    def test_one_seeded_fraction_per_q(self, q):
+        # every ring size the certify workload reaches (q = 20 .. 39) and more
+        numerators = [p for p in range(1, 4 * q, 2) if math.gcd(p, q) == 1]
+        f = QuarterFraction(random.Random(q).choice(numerators), q)
         r = verify_duality(f)
         assert (r.shift_as_coin, r.coin_as_shift) == verify_duality_loop(f)
 
