@@ -200,10 +200,11 @@ def quarter_approximants(
         if len(out) >= count:
             return out
     if not out:
-        detail = (
-            "stored precision ran out before any bound check became decidable"
-            if q_stop < q_max
-            else f"no certified approximant with q <= {q_max}"
-        )
+        if q_stop >= q_max:
+            detail = f"no certified approximant with q <= {q_max}"
+        elif q_stop == 0:
+            detail = "stored precision ran out before any bound check became decidable"
+        else:
+            detail = f"stored precision ran out after q = {q_stop} with no certified approximant"
         raise NoApproximantFoundError(f"{alpha}: {detail}")
     return out

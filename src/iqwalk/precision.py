@@ -94,13 +94,6 @@ class RealEnclosure:
         name = f"{self.label} mod 1" if self.label else None
         return RealEnclosure(self.lo - fl, self.hi - fl, name)
 
-    def scaled(self, factor: int) -> "RealEnclosure":
-        """Enclosure of factor * x for a positive integer factor."""
-        if factor < 1:
-            raise ValueError("factor must be a positive integer")
-        name = f"{factor}*{self.label}" if self.label else None
-        return RealEnclosure(self.lo * factor, self.hi * factor, name)
-
     def to_mpf(self, dps: int | None = None) -> mpmath.mpf:
         """Midpoint as an mpmath float at the given working precision."""
         if dps is None:

@@ -564,6 +564,8 @@ def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
     -pi/pi seam; a whole cluster may land on either side, so the best
     alignment over every cyclic shift is taken.  All n shifts are
     compared at once through an n x n gather, O(n^2) in time and memory.
+    property_report proves its symmetries without it; it compares the
+    spectra of different solves, as the butterfly and factor-order tests do.
     """
     a, b = np.asarray(a), np.asarray(b)
     if len(a) != len(b):
@@ -579,6 +581,14 @@ def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PropertyCheck:
+    """One verdict of a PropertyReport and the residual it was decided on.
+
+    A proven check passes only if its residual is exactly 0.0: the
+    residual is how far the operator identity that proves it fails.  A
+    certified or measured check carries the deviation it measured on the
+    spectrum.
+    """
+
     passed: bool
     residual: float
 
@@ -587,16 +597,22 @@ class PropertyCheck:
 class PropertyReport:
     """Joint verdict on the five spectral properties plus determinant.
 
-    Residuals are the deviations actually measured, not clamped to the
-    tolerances.  simple_gap is the smallest measured distance between two
-    eigenvalues and gap_lower_bound the certified lower bound on the exact
-    one (eigenvalue_gaps).  The simplicity check passes if and only if
-    that bound is positive, i.e. the 4q eigenvalue inclusion disks are
-    pairwise disjoint, which proves every eigenvalue of the exact
-    operator simple; its residual is the measured gap.  gauge_residual is
-    gauge_check's value on the same operator build, and must be exactly
-    0.0.  All checks are measured on the operator coin @ shift ("CW": the
-    shift acts first), whose spectrum is spectrum.
+    Three checks are proven on the operator coin @ shift ("CW": the shift
+    acts first), each by an identity that holds with no rounding, so each
+    passes only with residual exactly 0.0 (property_report):
+    - alpha_reflection by U(1 - alpha) = T U(alpha) T, T = diag((-1)^i);
+    - conjugation by U being real;
+    - negation by the parity gauge G U G^-1 = -U; its residual is
+      gauge_residual, gauge_check's value on the same operator build.
+    Two are decided on the spectrum of that operator, spectrum.  The
+    simplicity check is certified: it passes if and only if
+    gap_lower_bound, the certified lower bound on the exact smallest gap
+    (eigenvalue_gaps), is positive, i.e. the 4q eigenvalue inclusion
+    disks are pairwise disjoint, which proves every eigenvalue of the
+    exact operator simple; its residual is simple_gap, the smallest
+    measured distance between two eigenvalues.  The quartet check and
+    the determinant are measured, and their residuals are the deviations
+    actually measured, not clamped to the tolerances.
     """
 
     p: int
@@ -614,6 +630,7 @@ class PropertyReport:
     spectrum: Spectrum = field(repr=False, compare=False)
 
     def all_passed(self) -> bool:
+        # negation passes exactly when gauge_residual == 0.0
         return (
             self.alpha_reflection.passed
             and self.conjugation.passed
@@ -621,23 +638,40 @@ class PropertyReport:
             and self.simplicity.passed
             and self.quartet.passed
             and self.det_ok
-            and self.gauge_residual == 0.0
         )
 
 
-def _wrap_args(args: np.ndarray) -> np.ndarray:
-    wrapped = np.mod(args + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
-
-
 def property_report(f: QuarterFraction) -> PropertyReport:
-    """Measure the five spectral properties of coin @ shift ("CW": the shift acts first)."""
+    """Decide the five spectral properties of coin @ shift ("CW": the shift acts first).
+
+    One eigensolve, of U = U(alpha), serves the two spectral checks.  The
+    three symmetries are proven on U's entries in O(q) instead, with no
+    tolerance; similar, real or gauge-flipped exact operators have the
+    symmetric spectra exactly.
+    - alpha -> 1 - alpha: with T = diag((-1)^i) over the basis index i,
+      U(1 - alpha) = T U(alpha) T.  T negates the sines of every coin block
+      [[c, -s], [s, c]] (indices 2j - 1, 2j) and leaves the corners; it
+      maps the shift to itself except for its two corner entries, rows 0
+      and 4q - 1, which it negates.  At 1 - alpha site n reads table entry
+      -k(n), so its coin sines and corner signs are the negated entries,
+      and its cosines the same, by the table's cos[-k] == cos[k] and
+      sin[-k] == -sin[k] (_check_coin).  The mirror's entries must equal
+      those of T U T bitwise; the residual is their largest difference.
+    - conjugation: U is a real float64 matrix, and the exact coins are
+      real rotations, so the characteristic polynomial is real.  The
+      residual is the largest imaginary part of U's entries.
+    - negation: G U G^-1 = -U with residual gauge_check's, exactly 0.0.
+    Simplicity is certified, and the quartet and the determinant are
+    measured, on the spectrum (PropertyReport).
+    """
     cw = _walk_operator(f, "CW")
     spec = _spectrum_of(f, cw)
-    mirror = spectrum(f.canonical().complement(), "CW")
-    r_reflect = circular_arg_distance(spec.args, mirror.args)
-    r_conj = circular_arg_distance(spec.args, np.sort(-spec.args))
-    r_neg = circular_arg_distance(spec.args, np.sort(_wrap_args(spec.args + np.pi)))
+    columns, values = cw.entries()
+    alternating = np.where(np.arange(4 * f.q) % 2 == 1, -1.0, 1.0)
+    _, mirror = _walk_operator(f.canonical().complement(), "CW").entries()
+    r_reflect = float(np.abs(mirror - alternating * alternating[columns] * values).max())
+    r_conj = float(np.abs(values.imag).max())
+    gauge = cw.gauge_residual()
     gap, gap_lower = eigenvalue_gaps(spec.eigenvalues, spec.radii)
     targets = np.array([1.0, 1.0j, -1.0, -1.0j])
     r_quartet = float(
@@ -647,16 +681,16 @@ def property_report(f: QuarterFraction) -> PropertyReport:
     return PropertyReport(
         p=f.p,
         q=f.q,
-        alpha_reflection=PropertyCheck(r_reflect <= RESIDUAL_TOL, r_reflect),
-        conjugation=PropertyCheck(r_conj <= RESIDUAL_TOL, r_conj),
-        negation=PropertyCheck(r_neg <= RESIDUAL_TOL, r_neg),
+        alpha_reflection=PropertyCheck(r_reflect == 0.0, r_reflect),
+        conjugation=PropertyCheck(r_conj == 0.0, r_conj),
+        negation=PropertyCheck(gauge == 0.0, gauge),
         simplicity=PropertyCheck(gap_lower > 0.0, gap),
         quartet=PropertyCheck(r_quartet <= RESIDUAL_TOL, r_quartet),
         det_ok=det_residual <= DET_TOL,
         det_residual=det_residual,
         simple_gap=gap,
         gap_lower_bound=gap_lower,
-        gauge_residual=cw.gauge_residual(),
+        gauge_residual=gauge,
         spectrum=spec,
     )
 

@@ -14,6 +14,7 @@ must reproduce those values bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +29,10 @@ from iqwalk import (
     NumericalDriftError,
     RingState,
     WalkerState,
+    circular_arg_distance,
     moment_stats,
     ring_shift,
+    spectrum,
     trig_pair_exact,
 )
 from iqwalk.walk import DRIFT_LIMIT
@@ -323,6 +326,51 @@ def lifted_walk_eigenpairs(op):
         vectors[odd, plus], vectors[odd, minus] = partner, -partner
     vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
     return _certify(values, vectors, walk_apply(op, vectors), op.abs_norm(), op.max_row_nonzeros())
+
+
+def wrap_args(args: np.ndarray) -> np.ndarray:
+    """args moved into the principal branch (-pi, pi]."""
+    wrapped = np.mod(args + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(wrapped == -np.pi, np.pi, wrapped)
+
+
+def measured_symmetry_residuals(f) -> tuple[float, float, float]:
+    """(alpha -> 1 - alpha, conjugation, negation) residuals measured on spectra.
+
+    The measurement that property_report's proofs replaced: a second
+    solve at 1 - alpha, and the conjugated and negated args, each aligned
+    with alpha's args by circular_arg_distance.
+    """
+    args = spectrum(f).args
+    mirror = spectrum(f.canonical().complement()).args
+    return (
+        circular_arg_distance(args, mirror),
+        circular_arg_distance(args, np.sort(-args)),
+        circular_arg_distance(args, np.sort(wrap_args(args + np.pi))),
+    )
+
+
+def planted_reflection_fault(build, f, site=3, angle=1e-11):
+    """A stand-in for spectral._walk_operator that rotates f's coins at sites +-site by +-angle.
+
+    The rotation is odd in the site, so J U J = U holds bitwise and the
+    sector solve certifies the faulty spectrum; only U(1 - alpha) = T U T
+    fails, by about angle.  Every other fraction is left to build.
+    """
+
+    def faulty(g, order):
+        op = build(g, order)
+        if g != f:
+            return op
+        j = site + f.q - 1  # cos and sin index of the site; -1 - j is -site's
+        c, s = op.cos[j], op.sin[j]
+        cos, sin = op.cos.copy(), op.sin.copy()
+        cos[j] = cos[-1 - j] = c * math.cos(angle) - s * math.sin(angle)
+        sin[j] = s * math.cos(angle) + c * math.sin(angle)
+        sin[-1 - j] = -sin[j]
+        return dataclasses.replace(op, cos=cos, sin=sin)
+
+    return faulty
 
 
 def circular_arg_distance_loop(a, b) -> float:

@@ -22,7 +22,7 @@ from iqwalk import (
     spectrum,
 )
 from iqwalk.cli import RunConfig, main, parse_alpha, parse_args
-from oracles import extend_copy_schedule, step_loop
+from oracles import extend_copy_schedule, planted_reflection_fault, step_loop
 
 
 @pytest.fixture(autouse=True)
@@ -396,9 +396,9 @@ class TestPropertiesCommand:
         assert payload["all_passed"] is False
         assert payload["gap_lower_bound"] < 0.0 < payload["simple_gap"]
 
-    def test_two_eigensolves_per_command(self, capsys, monkeypatch):
-        # one operator for the spectrum at alpha, one at 1 - alpha, each solved
-        # as one stacked eig of its two q x q reflection sectors
+    def test_one_eigensolve_per_command(self, capsys, monkeypatch):
+        # alpha's operator, solved as one stacked eig of its two q x q
+        # reflection sectors; 1 - alpha is compared entry by entry, not solved
         real_eig = np.linalg.eig
         shapes = []
 
@@ -406,10 +406,14 @@ class TestPropertiesCommand:
             shapes.append(m.shape)
             return real_eig(m)
 
+        def no_arg_distance(a, b):
+            raise AssertionError("the symmetries are proven, not measured")
+
         monkeypatch.setattr(np.linalg, "eig", spy)
+        monkeypatch.setattr(spectral, "circular_arg_distance", no_arg_distance)
         code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
-        assert shapes == [(2, 5, 5)] * 2
+        assert shapes == [(2, 5, 5)]
 
     def test_one_operator_build_per_fraction(self, capsys, monkeypatch):
         # alpha's build serves its spectrum and the gauge residual; the other is 1 - alpha
@@ -425,6 +429,17 @@ class TestPropertiesCommand:
         assert code == 0
         assert built == [(QuarterFraction(3, 5), "CW"), (QuarterFraction(17, 5), "CW")]
         assert json.loads(open(out.strip()).read())["gauge_residual"] == 0.0
+
+    def test_planted_reflection_fault_is_a_violation(self, capsys, monkeypatch):
+        f = QuarterFraction(3, 5)
+        monkeypatch.setattr(
+            spectral, "_walk_operator", planted_reflection_fault(spectral._walk_operator, f)
+        )
+        code, out, _ = run(["properties", "--alpha", "3/20"], capsys)
+        assert code == 3
+        payload = json.loads(open(out.strip()).read())
+        assert payload["checks"]["alpha_reflection"]["passed"] is False
+        assert payload["all_passed"] is False
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (3, 19)])
     def test_args_are_the_spectrum_args(self, capsys, p, q):

@@ -271,6 +271,16 @@ class TestQuarterApproximants:
         with pytest.raises(NoApproximantFoundError, match="precision ran out"):
             quarter_approximants(enc, count=1, q_max=50)
 
+    def test_precision_stop_names_the_last_decided_q(self):
+        # width 2e-5 decides q = 1 .. 79 (8 q^2 width < 1), and no odd p
+        # certifies near the even 4 q alpha
+        enc = RealEnclosure.from_decimal("1" + "0" * 307 + ".00000", uncertainty_last_place=1)
+        with pytest.raises(NoApproximantFoundError) as info:
+            quarter_approximants(enc)
+        assert str(info.value).endswith(
+            ": stored precision ran out after q = 79 with no certified approximant"
+        )
+
     def test_midpoint_beyond_double_range_is_rejected(self):
         # the search is exact integer arithmetic, so magnitude alone raises
         # nothing: a width of 2e400 leaves no decidable q

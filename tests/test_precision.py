@@ -70,13 +70,6 @@ class TestRealEnclosure:
         with pytest.raises(IndecisiveError):
             wide.fractional_part()
 
-    def test_scaled(self):
-        enc = golden_mean(40).scaled(4)
-        assert enc.lo == golden_mean(40).lo * 4
-        assert enc.width == golden_mean(40).width * 4
-        with pytest.raises(ValueError):
-            enc.scaled(0)
-
     def test_from_decimal_is_exact(self):
         enc = RealEnclosure.from_decimal("0.25")
         assert enc.is_point and enc.lo == Fraction(1, 4)

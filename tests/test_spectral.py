@@ -24,7 +24,7 @@ from iqwalk import (
 )
 from iqwalk.exact_trig import TRIG_ERROR_BOUND, quarter_trig_table
 from iqwalk import spectral
-from iqwalk.spectral import OPERATOR_ERROR, _check_coin, _check_shift, _wrap_args
+from iqwalk.spectral import OPERATOR_ERROR, RESIDUAL_TOL, _check_coin, _check_shift
 from oracles import (
     EXACT_GAP_3_76,
     EXACT_GAP_3_80,
@@ -32,10 +32,13 @@ from oracles import (
     circular_arg_distance_loop,
     complex_eigenpairs,
     lifted_walk_eigenpairs,
+    measured_symmetry_residuals,
     mp_residuals,
     mp_walk_operator,
     parity_split_eigenpairs,
+    planted_reflection_fault,
     walk_apply,
+    wrap_args,
 )
 
 QUARTET = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -642,6 +645,64 @@ class TestPropertyReport:
         assert report.gap_lower_bound < 0.0
 
 
+class TestProvenSymmetries:
+    def test_reflection_identity_is_exact_for_every_fraction_up_to_q50(self):
+        # U(1 - alpha) = T U(alpha) T bitwise with T = diag((-1)^i), the
+        # identity that proves alpha_reflection; O(q) per fraction, no solve
+        count = 0
+        for f in butterfly_fractions(50):
+            columns, values = spectral._walk_operator(f, "CW").entries()
+            mirror_columns, mirror = spectral._walk_operator(f.complement(), "CW").entries()
+            t = (-1.0) ** np.arange(4 * f.q)
+            assert np.array_equal(mirror_columns, columns), f"{f}"
+            assert float(np.abs(mirror - t * t[columns] * values).max()) == 0.0, f"{f}"
+            count += 1
+        assert count == 2074
+
+    def test_proven_verdicts_agree_with_the_measured_ones_up_to_q20(self):
+        for f in butterfly_fractions(20):
+            report = property_report(f)
+            checks = (report.alpha_reflection, report.conjugation, report.negation)
+            measured = measured_symmetry_residuals(f)
+            assert [c.residual for c in checks] == [0.0, 0.0, 0.0], f"{f}"
+            assert [c.passed for c in checks] == [r <= RESIDUAL_TOL for r in measured], f"{f}"
+
+    def test_planted_fault_fails_the_reflection_proof(self, monkeypatch):
+        # coins of 3/20 at sites +-3 rotated by +-1e-11: J-symmetry holds and
+        # the radii stay tiny, so a measured 1.5e-12 reflection residual
+        # would pass RESIDUAL_TOL; the similarity identity fails
+        f = QuarterFraction(3, 5)
+        monkeypatch.setattr(
+            spectral, "_walk_operator", planted_reflection_fault(spectral._walk_operator, f)
+        )
+        report = property_report(f)
+        assert report.spectrum.radii.max() < 1e-14
+        assert report.alpha_reflection.passed is False
+        assert 0.0 < report.alpha_reflection.residual < 1e-10
+        assert report.conjugation.passed and report.negation.passed
+        assert report.simplicity.passed and report.quartet.passed and report.det_ok
+        assert not report.all_passed()
+        assert 0.0 < measured_symmetry_residuals(f)[0] <= RESIDUAL_TOL
+
+    def test_negation_is_decided_by_the_gauge_residual(self, monkeypatch):
+        # a wrong gauge sign at index 4 leaves the spectrum and the
+        # reflection identity alone, but G U G^-1 = -U no longer holds
+        real_build = spectral._walk_operator
+
+        def wrong_gauge(f, order):
+            op = real_build(f, order)
+            signs = op.frame.signs.copy()
+            signs[4] = -signs[4]
+            return dataclasses.replace(op, frame=dataclasses.replace(op.frame, signs=signs))
+
+        monkeypatch.setattr(spectral, "_walk_operator", wrong_gauge)
+        report = property_report(QuarterFraction(3, 5))
+        assert report.gauge_residual > 0.0
+        assert report.negation == spectral.PropertyCheck(False, report.gauge_residual)
+        assert report.alpha_reflection.passed and report.conjugation.passed
+        assert not report.all_passed()
+
+
 class TestGauge:
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (7, 9)])
     def test_parity_gauge_flips_the_operator_exactly(self, p, q):
@@ -731,8 +792,8 @@ class TestCircularArgDistance:
         points = np.array(
             bulk + [np.pi - x for x in below_pi] + [-np.pi + x for x in above_minus_pi]
         )
-        a = np.sort(_wrap_args(points))
-        b = np.sort(_wrap_args(points + np.array(noise[: len(points)])))
+        a = np.sort(wrap_args(points))
+        b = np.sort(wrap_args(points + np.array(noise[: len(points)])))
         for x, y in ((a, b), (b, a), (a, np.sort(-a))):
             assert circular_arg_distance(x, y).hex() == circular_arg_distance_loop(x, y).hex()
 
