@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import _integer
 from .exact_trig import QuarterFraction, quarter_trig_table
 
 __all__ = [
@@ -41,6 +42,8 @@ class RingState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (M, 2), got {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -88,7 +91,11 @@ def ring_coin(f: QuarterFraction, state: RingState) -> RingState:
 
 
 def dual_vector(f: QuarterFraction, n: int, chirality: str) -> DualVector:
-    """Dual basis vector at dual site n; periodic in n with period 4q."""
+    """Dual basis vector at dual site n; periodic in n with period 4q.
+
+    n must be an integer (TypeError for floats and bools).
+    """
+    n = _integer(n, "dual site")
     if chirality not in ("L", "R"):
         raise ValueError(f"chirality must be 'L' or 'R', got {chirality!r}")
     cos, sin = quarter_trig_table(f.q)
@@ -116,7 +123,7 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     coin with the site-n angle.  coin_as_shift: the coin maps |n, L~>
     to |n-1, L~> and |n, R~> to |n+1, R~>.  Residuals are max absolute
     amplitude deviations; for exact-boundary fractions such as q = 1
-    they are exactly zero.
+    they are exactly zero.  They depend on q alone, not on p.
 
     Only the first identity is evaluated.  The amplitude matrices are
     symmetric in (m, n), since their residue is p*m*n mod 4q, so each
@@ -124,42 +131,41 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     shift-identity one, built from the same products: the two maxima
     are the same float.
 
-    Of its four chirality terms only the first two are evaluated.  The
-    point reflection (m, n) -> (-m, -n) keeps the residue p*m*n, so it
-    fixes cos_mn and sin_mn, and swaps the rolls by +1 and -1.  The
-    table is even in cos and odd in sin, entry for entry (k -> -k mod
-    4q), so it fixes c and negates s.  Negation is exact and
+    Of its four chirality terms two are needed.  The point reflection
+    (m, n) -> (-m, -n) keeps the residue p*m*n and swaps the rolls by +1
+    and -1; the table's mirror (cos[-k] == cos[k], sin[-k] == -sin[k])
+    fixes the coin cosine and negates its sine.  Negation is exact and
     fl(x + (-y)) = fl(x - y), so the fourth residual matrix at (m, n) is
     the first at (-m, -n) and the third is the second, bit for bit.
 
-    The shift compares offset row slices, plus the one wrapped row,
-    instead of rolled copies, and the products and differences go into
-    two work arrays: each entry is the same subtraction, so the same float.
+    Those two are read off one gap table.  Let N = 4q and (cos, sin) =
+    quarter_trig_table(q), proven there; indices are mod N.  The first
+    term at ring site m and dual site n is sin[p(m+1)n] - (cos[pn]
+    sin[pmn] + sin[pn] cos[pmn]).  With w = pmn and v = pn it is
+
+        F(w, v) = sin[w + v] - (cos[v] sin[w] + sin[v] cos[w]),
+
+    the same two products and the same sum, so the same float.  p is
+    odd and coprime to q, a unit mod N, so as (m, n) runs over Z_N^2,
+    (w, v) runs over exactly the pairs with gcd(v, N) dividing w, for
+    every p.  The second term, with the shift by -1, is cos[w - v] -
+    (cos[v] cos[w] + sin[v] sin[w]) = F(w + q, -v) by the table's quarter
+    turn (sin[k + q] == cos[k], cos[k + q] == -sin[k]) and mirror, up to
+    the sign of a zero; the pairs are closed under v -> -v.  By the mirror
+    again, |F(-w, -v)| = |F(w, v)|: a zero's sign never changes the
+    magnitude of a product, sum or difference of finite values.  So the
+    residual is the largest |F| over the rows w = 0 .. 2q and the columns
+    v with gcd(v, N) dividing w, w - q or w + q.  gap holds -F, exactly.
     """
-    size = 4 * f.q
-    cos, sin = quarter_trig_table(f.q)
-    k = _residues(f.p, f.q, size)
-    c, s = cos[k], sin[k]
-    # row m, column n: |n, L~> = (sin_mn, cos_mn), |n, R~> = (cos_mn, sin_mn) at site m
-    index = np.multiply.outer(k, np.arange(size))
-    index %= size
-    cos_mn, sin_mn = cos[index], sin[index]
-    # the shift moves L from site m+1 and R from m-1; dual site n's coin scales column n
-    coined, work = np.empty_like(cos_mn), np.empty_like(cos_mn)
-    residual = max(
-        _gap(sin_mn, cos_mn, 1, c, s, coined, work),
-        _gap(cos_mn, sin_mn, -1, c, s, coined, work),
-    )
+    q = f.q
+    size = 4 * q
+    cos, sin = quarter_trig_table(q)
+    gap = np.multiply.outer(sin[: 2 * q + 1], cos)
+    gap += np.multiply.outer(cos[: 2 * q + 1], sin)
+    # window w of sin read twice round is sin[w + v] over v
+    gap -= np.lib.stride_tricks.sliding_window_view(np.concatenate((sin, sin[: 2 * q])), size)
+    rows = np.arange(2 * q + 1)[:, None]
+    reach = np.gcd(np.arange(size), size)  # gcd(v, 4q)
+    reached = (rows % reach == 0) | ((rows - q) % reach == 0) | ((rows + q) % reach == 0)
+    residual = float(np.abs(gap[reached]).max())
     return DualityResiduals(residual, residual)
-
-
-def _gap(x, y, shift, c, s, coined, work) -> float:
-    """max |x[(m + shift) mod M] - (c x + s y)[m]| over rows m, in the work arrays."""
-    np.multiply(c, x, out=coined)
-    np.multiply(s, y, out=work)
-    coined += work
-    cut = shift % len(x)
-    split = len(x) - cut
-    np.subtract(x[cut:], coined[:split], out=work[:split])
-    np.subtract(x[:cut], coined[split:], out=work[split:])
-    return float(np.abs(work, out=work).max())

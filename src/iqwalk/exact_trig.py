@@ -12,11 +12,14 @@ bitwise (values at r and q-r are the same floats, swapped).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 __all__ = [
     "TRIG_ERROR_BOUND",
@@ -48,6 +51,10 @@ TRIG_ERROR_BOUND = 4 * 2.0**-53
 # 2**1023 (int to float raises OverflowError from 2**1024), so 2**1022 is
 # the largest power of two for which all of it holds.
 TRIG_Q_MAX = 2**1022
+
+# |fl(c*c + s*s) - 1| for every entry (c, s) of a quarter table, each within
+# TRIG_ERROR_BOUND of (cos, sin) of an angle: 2 sqrt(2) E + gamma_3 (_check_table)
+_ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + 3 * 2.0**-53 / (1.0 - 3 * 2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -139,12 +146,15 @@ def half_pi_cos_sin(k: int, q: int) -> tuple[float, float]:
     return s, -c
 
 
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 3.0 must not find the table of 3
 def quarter_trig_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) arrays of length 4q; entry k is bitwise half_pi_cos_sin(k, q).
 
     The coin of p/(4q) at site n is entry p*n mod 4q.  The other quadrants
     are sign flips and swaps of the first; the boundaries are the literal
-    floats, since negating 0.0 would give -0.0.
+    floats, since negating 0.0 would give -0.0.  Built and proven once per
+    q (_check_table), or ConvergenceError naming q; every consumer reads
+    the same read-only arrays, and a failed build is not cached.
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
@@ -152,7 +162,51 @@ def quarter_trig_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     cos = np.concatenate((c, -s, -c, s))
     sin = np.concatenate((s, c, -s, -c))
     cos[::q], sin[::q] = zip(*_BOUNDARY)
+    _check_table(q, cos, sin)
+    cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
+
+
+def _check_table(q: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Prove in O(q) the facts every reader of a quarter table rests on, or
+    raise ConvergenceError naming q.
+
+    - Rotation: the walk operator's corner sine of p/(4q) is entry
+      -p q mod 4q, q or 3q as p is odd, so sin[q] == 1 and sin[3q] == -1
+      make every corner exactly +-1.  Its coin is block diagonal, so its
+      determinant is corner**2 times the product of c**2 + s**2 over its
+      rotation blocks [[c, -s], [s, c]].  Each entry is within
+      TRIG_ERROR_BOUND = E of an exact (cos, sin) pair, for which c**2 +
+      s**2 = 1, so |c**2 + s**2 - 1| <= 2 sqrt(2) E + 2 E**2 exactly;
+      evaluating c*c + s*s adds gamma_2 (c**2 + s**2) and the subtraction
+      from 1 is exact (Sterbenz).  _ROTATION_NORM_BOUND = 2 sqrt(2) E +
+      gamma_3 covers all of it: the E**2 terms, gamma_2 (2 sqrt(2) E +
+      2 E**2) and the roundings of the constant itself are below 1e-30, far
+      inside gamma_3 - gamma_2 > u.  The shift is an exact permutation, so
+      U U^T = C C^T, whose diagonal is fl(c*c + s*s) and whose other
+      entries are fl(c*s) - fl(s*c) = 0 exactly: no dense unitarity check
+      is needed (spectral).
+    - Mirror: cos[-k] == cos[k] and sin[-k] == -sin[k].  Site n reads
+      entry k(n) = p n mod 4q and k(-n) = -k(n), so the coin of every p
+      has cos even and sin odd over the sites, on which J U J = U rests
+      (spectral._layout), and the duality residual skips the point-
+      reflected terms (duality.verify_duality).
+    - Quarter turn: sin[k + q] == cos[k] and cos[k + q] == -sin[k], on
+      which verify_duality reads its second identity off the first.
+    Floats compare with ==, so 0.0 and -0.0 count as equal.
+    """
+    deviation = np.abs(cos * cos + sin * sin - 1.0)
+    if not (sin[q] == 1.0 and sin[3 * q] == -1.0 and np.all(deviation <= _ROTATION_NORM_BOUND)):
+        raise ConvergenceError(
+            f"coin table of q = {q} is not a rotation table: corner sines "
+            f"{float(sin[q])!r}, {float(sin[3 * q])!r}, "
+            f"largest |c^2 + s^2 - 1| = {float(deviation.max()):.3e}"
+        )
+    mirror = -np.arange(4 * q) % (4 * q)
+    if not (np.array_equal(cos[mirror], cos) and np.array_equal(sin[mirror], -sin)):
+        raise ConvergenceError(f"coin table of q = {q} is not mirror-symmetric (J U J != U)")
+    if not (np.array_equal(np.roll(sin, -q), cos) and np.array_equal(np.roll(cos, -q), -sin)):
+        raise ConvergenceError(f"coin table of q = {q} is not a quarter turn")
 
 
 def fraction_cos_sin(turns: Fraction) -> tuple[float, float]:

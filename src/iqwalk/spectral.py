@@ -58,19 +58,14 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-# |fl(c*c + s*s) - 1| for every entry (c, s) of a coin table within
-# TRIG_ERROR_BOUND of (cos, sin) of an angle; _check_coin proves it once per q
-_ROTATION_NORM_BOUND = 2.0 * math.sqrt(2.0) * TRIG_ERROR_BOUND + _gamma(3)
-
-
 def build_matrices(f: QuarterFraction) -> tuple[np.ndarray, np.ndarray]:
     """(coin factor, shift factor) as dense real 4q x 4q orthogonal matrices.
 
     Coin entries use exact residue trig, so reflecting blocks carry
     literal zeros.  The shift factor is a permutation matrix whose
     determinant is exactly -1; the coin factor has determinant 1
-    (_check_coin and _check_shift prove both, once per q).  The entries
-    are read from the arrays of the operator that spectrum() solves.
+    (quarter_trig_table and _check_shift prove both, once per q).  The
+    entries are read from the arrays of the operator that spectrum() solves.
     """
     op = _walk_operator(f, "CW")
     dim = 4 * f.q
@@ -111,10 +106,10 @@ class _Layout:
 class _Frame:
     """What the 4q basis fixes for every p, built and proven once per q.
 
-    cos and sin are quarter_trig_table(q).  target[i] is the column of the
-    1 in shift row i, a single 4q-cycle that commutes with J.  layouts
-    holds a _Layout for each order.  signs is the diagonal of the parity
-    gauge G.  All arrays are read-only.
+    cos and sin are quarter_trig_table(q), proven there.  target[i] is the
+    column of the 1 in shift row i, a single 4q-cycle that commutes with J.
+    layouts holds a _Layout for each order.  signs is the diagonal of the
+    parity gauge G.  All arrays are read-only.
     """
 
     cos: np.ndarray
@@ -128,7 +123,6 @@ class _Frame:
 def _frame(q: int) -> _Frame:
     dim = 4 * q
     cos, sin = quarter_trig_table(q)
-    _check_coin(q, cos, sin)
     # L rows (odd i) of the shift read i + 2 and R rows (even i) read i - 2,
     # and the two ends reflect
     target = np.empty(dim, dtype=np.intp)
@@ -147,8 +141,7 @@ def _frame(q: int) -> _Frame:
         "WC": _layout(np.stack([target, partner[target]]), target),
     }
     signs = np.where(_odd_sites(dim), -1.0, 1.0)
-    for array in (cos, sin, target, signs):
-        array.flags.writeable = False
+    target.flags.writeable = signs.flags.writeable = False
     return _Frame(cos, sin, target, layouts, signs)
 
 
@@ -161,7 +154,7 @@ def _layout(columns: np.ndarray, rows: np.ndarray) -> _Layout:
       at the reversed columns, from the mirrored site (cos index j <->
       2q - 2 - j, the same corner), with the sign of every sine flipped.
       So J U J = U whenever cos[::-1] == cos and sin[::-1] == -sin, which
-      _check_coin proves for every operator of this q.
+      quarter_trig_table proves for every operator of this q.
     - the parity zero pattern: every entry of an E row lies in an O column
       and vice versa, so U vanishes on E x E and O x O (gauge_check).  J
       keeps the parity of a site, so the same holds for the folded columns.
@@ -246,7 +239,7 @@ class _WalkOperator:
     def sector_blocks(self) -> np.ndarray:
         """[[A+, B+], [A-, B-]] as one (2, 2, q, q) array (_walk_eigenvalues).
 
-        J U J = U, on which they rest, is proven once per q (_check_coin).
+        J U J = U, on which they rest, is proven once per q (quarter_trig_table).
         """
         layout = self.frame.layouts[self.order]
         q = len(self.frame.target) // 4
@@ -277,44 +270,6 @@ def _walk_operator(f: QuarterFraction, order: str) -> _WalkOperator:
     k = (f.p % dim) * np.arange(-q + 1, q) % dim
     corner = float(frame.sin[-f.p * q % dim])  # coin sine at site -q, (-1)^((p+1)/2)
     return _WalkOperator(order, corner, frame.cos[k], frame.sin[k], frame)
-
-
-def _check_coin(q: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Prove det(coin) = 1, coin @ coin^T = I within _ROTATION_NORM_BOUND
-    and J coin J = coin for every coin of q, in O(q), or raise naming q.
-
-    _walk_operator gathers every coin value from this table of 4q entries.
-    A corner sine is entry -p q mod 4q, q or 3q as p is odd, so sin[q] == 1
-    and sin[3q] == -1 make every corner exactly +-1.  Site n reads entry
-    k(n) = p n mod 4q, and k(-n) = -k(n), so cos[-k] == cos[k] and
-    sin[-k] == -sin[k] give cos[::-1] == cos and sin[::-1] == -sin over
-    the sites of every coin, on which J U J = U rests (_layout).
-
-    The coin is block diagonal, so its determinant is corner**2 times the
-    product of c**2 + s**2 over its rotation blocks [[c, -s], [s, c]].  The
-    corners must be exactly +-1, and every block within TRIG_ERROR_BOUND =
-    E of an exact (cos, sin) pair, for which c**2 + s**2 = 1.  Then
-    |c**2 + s**2 - 1| <= 2 sqrt(2) E + 2 E**2 exactly; evaluating c*c + s*s
-    adds gamma_2 (c**2 + s**2) and the subtraction from 1 is exact
-    (Sterbenz).  _ROTATION_NORM_BOUND = 2 sqrt(2) E + gamma_3 covers all of
-    it: the E**2 terms, gamma_2 (2 sqrt(2) E + 2 E**2) and the roundings of
-    the constant itself are below 1e-30, far inside gamma_3 - gamma_2 > u.
-
-    The same numbers are the unitarity defect of either walk operator.
-    The shift is an exact permutation, so U U^T = C C^T, whose diagonal
-    is fl(c*c + s*s) and whose other entries are fl(c*s) - fl(s*c) = 0
-    exactly, so no dense unitarity check is needed.
-    """
-    deviation = np.abs(cos * cos + sin * sin - 1.0)
-    if not (sin[q] == 1.0 and sin[3 * q] == -1.0 and np.all(deviation <= _ROTATION_NORM_BOUND)):
-        raise ConvergenceError(
-            f"coin table of q = {q} is not a rotation table: corner sines "
-            f"{float(sin[q])!r}, {float(sin[3 * q])!r}, "
-            f"largest |c^2 + s^2 - 1| = {float(deviation.max()):.3e}"
-        )
-    mirror = -np.arange(4 * q) % (4 * q)
-    if not (np.array_equal(cos[mirror], cos) and np.array_equal(sin[mirror], -sin)):
-        raise ConvergenceError(f"coin table of q = {q} is not mirror-symmetric (J U J != U)")
 
 
 def _check_shift(target: np.ndarray) -> None:
@@ -420,7 +375,7 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     the coin: swapping L and R turns a rotation by theta into one by
     -theta, and the coin angle is odd in n.  J U J = U is proven, not
     assumed: the layout, the shift and the coin table once per q (_layout,
-    _check_shift, _check_coin).
+    _check_shift, quarter_trig_table).
 
     With K the 2q x 2q reversal and U11, U12, U21, U22 the blocks of U,
     J U J = U gives U22 = K U11 K and U21 = K U12 K.  P+-^T, with P+- =
@@ -655,7 +610,7 @@ def property_report(f: QuarterFraction) -> PropertyReport:
       and 4q - 1, which it negates.  At 1 - alpha site n reads table entry
       -k(n), so its coin sines and corner signs are the negated entries,
       and its cosines the same, by the table's cos[-k] == cos[k] and
-      sin[-k] == -sin[k] (_check_coin).  The mirror's entries must equal
+      sin[-k] == -sin[k] (quarter_trig_table).  The mirror's entries must equal
       those of T U T bitwise; the residual is their largest difference.
     - conjugation: U is a real float64 matrix, and the exact coins are
       real rotations, so the characteristic polynomial is real.  The

@@ -35,6 +35,7 @@ from iqwalk import (
     spectrum,
     trig_pair_exact,
 )
+from iqwalk.exact_trig import quarter_trig_table
 from iqwalk.walk import DRIFT_LIMIT
 
 ORACLE_DPS = 30
@@ -437,6 +438,42 @@ def verify_duality_loop(f):
         to_next = np.abs(coined_right - duals_right[(n + 1) % size]).max()
         worst_coin = max(worst_coin, float(to_prev), float(to_next))
     return worst_shift, worst_coin
+
+
+def grid_duality_residuals(f):
+    """(shift_as_coin, coin_as_shift) from the full (m, n) grid of dual amplitudes.
+
+    Evaluates the shift identity's L and R terms on 4q x 4q gathers of
+    the residue table at p*m*n mod 4q; the other two terms and the coin
+    identity are the same floats (verify_duality's docstring).
+    """
+    size = 4 * f.q
+    cos, sin = quarter_trig_table(f.q)
+    k = f.p % size * np.arange(size) % size
+    c, s = cos[k], sin[k]
+    # row m, column n: |n, L~> = (sin_mn, cos_mn), |n, R~> = (cos_mn, sin_mn) at site m
+    index = np.multiply.outer(k, np.arange(size))
+    index %= size
+    cos_mn, sin_mn = cos[index], sin[index]
+    # the shift moves L from site m+1 and R from m-1; dual site n's coin scales column n
+    coined, work = np.empty_like(cos_mn), np.empty_like(cos_mn)
+    residual = max(
+        _grid_gap(sin_mn, cos_mn, 1, c, s, coined, work),
+        _grid_gap(cos_mn, sin_mn, -1, c, s, coined, work),
+    )
+    return residual, residual
+
+
+def _grid_gap(x, y, shift, c, s, coined, work) -> float:
+    """max |x[(m + shift) mod M] - (c x + s y)[m]| over rows m, in the work arrays."""
+    np.multiply(c, x, out=coined)
+    np.multiply(s, y, out=work)
+    coined += work
+    cut = shift % len(x)
+    split = len(x) - cut
+    np.subtract(x[cut:], coined[:split], out=work[:split])
+    np.subtract(x[:cut], coined[split:], out=work[split:])
+    return float(np.abs(work, out=work).max())
 
 
 def build_trig_loop(f):

@@ -17,7 +17,12 @@ from iqwalk import (
     verify_duality,
 )
 from iqwalk.exact_trig import quarter_trig_table
-from oracles import dual_vector_amplitudes_loop, ring_coin_loop, verify_duality_loop
+from oracles import (
+    dual_vector_amplitudes_loop,
+    grid_duality_residuals,
+    ring_coin_loop,
+    verify_duality_loop,
+)
 
 
 def quarter_fractions(q_max=8):
@@ -38,6 +43,13 @@ class TestRingState:
 
     def test_size(self):
         assert RingState(np.zeros((12, 2))).size == 12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_are_rejected(self, bad):
+        amps = np.ones((4, 2), dtype=complex)
+        amps[2, 1] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            RingState(amps)
 
     def test_ring_shift_moves_each_chirality_its_own_way(self):
         state = RingState(
@@ -76,6 +88,17 @@ class TestDualVectors:
     def test_chirality_validation(self):
         with pytest.raises(ValueError, match="chirality"):
             dual_vector(QuarterFraction(1, 1), 0, "X")
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 1.5, "1", None])
+    def test_dual_site_must_be_an_integer(self, n):
+        with pytest.raises(TypeError, match="dual site must be an integer"):
+            dual_vector(QuarterFraction(1, 3), n, "L")
+
+    def test_numpy_integer_dual_site(self):
+        f = QuarterFraction(1, 3)
+        vec = dual_vector(f, np.int64(2), "R")
+        assert type(vec.n) is int and vec.n == 2
+        assert vec.amplitudes.tobytes() == dual_vector(f, 2, "R").amplitudes.tobytes()
 
     @given(quarter_fractions(), st.integers(min_value=-6, max_value=6))
     @settings(max_examples=25)
@@ -169,13 +192,47 @@ class TestAgainstLoops:
         assert amps.tobytes() == dual_vector_amplitudes_loop(f, 3, "L").tobytes()
 
 
+class TestAgainstGrid:
+    """verify_duality reads one gap table over the residue pairs the (m, n)
+    grid reaches; the grid evaluation in oracles must agree bit for bit."""
+
+    def test_every_fraction_up_to_q50(self):
+        for f in butterfly_fractions(50):
+            r = verify_duality(f)
+            assert (r.shift_as_coin, r.coin_as_shift) == grid_duality_residuals(f), f"{f}"
+
+    @given(
+        st.integers(min_value=51, max_value=160).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.sampled_from([p for p in range(1, 4 * q, 2) if math.gcd(p, q) == 1]),
+                st.integers(min_value=0, max_value=10**12),
+            )
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_sampled_fractions_up_to_q160(self, qpk):
+        # p + 4qk has the same coins as p
+        q, p, k = qpk
+        f = QuarterFraction(p + 4 * q * k, q)
+        r = verify_duality(f)
+        assert (r.shift_as_coin, r.coin_as_shift) == grid_duality_residuals(f)
+
+    def test_every_numerator_gives_the_same_bits(self):
+        for q in range(1, 51):
+            numerators = [p for p in range(1, 4 * q, 2) if math.gcd(p, q) == 1]
+            bits = {verify_duality(QuarterFraction(p, q)).shift_as_coin.hex() for p in numerators}
+            assert len(bits) == 1, q
+
+
 class TestResidualSymmetry:
     """verify_duality evaluates the shift identity only.  The dual amplitude
     matrices are symmetric in (m, n), so the coin identity's residuals are
     the same floats; the loop, which evaluates both, must agree bit for bit.
-    Of the shift identity's four chirality terms it evaluates two: the point
-    reflection (m, n) -> (-m, -n) maps the other two onto them, because the
-    trig table is even in cos and odd in sin entry for entry."""
+    Of the shift identity's four chirality terms it evaluates one: the point
+    reflection (m, n) -> (-m, -n) maps two of them onto the others, because
+    the trig table is even in cos and odd in sin entry for entry, and the
+    quarter turn maps the R term onto the L term."""
 
     def test_trig_table_is_even_in_cos_and_odd_in_sin(self):
         for q in range(1, 201):

@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iqwalk import QuarterFraction, fraction_cos_sin, half_pi_cos_sin, trig_pair_exact
+from iqwalk import (
+    ConvergenceError,
+    QuarterFraction,
+    RingState,
+    RotationalSchedule,
+    dual_vector,
+    fraction_cos_sin,
+    half_pi_cos_sin,
+    ring_coin,
+    spectrum,
+    trig_pair_exact,
+    verify_duality,
+)
+from iqwalk import exact_trig, spectral
 from iqwalk.exact_trig import TRIG_ERROR_BOUND, TRIG_Q_MAX, quarter_trig_table
 from oracles import mp_cos_sin
 
@@ -198,3 +211,91 @@ class TestQuarterTrigTable:
     def test_rejects_non_positive_q(self):
         with pytest.raises(ValueError, match="positive"):
             quarter_trig_table(0)
+
+    def test_float_q_is_not_served_from_the_cache(self):
+        quarter_trig_table(3)
+        with pytest.raises(TypeError):
+            quarter_trig_table(3.0)
+
+
+def _clear_caches():
+    quarter_trig_table.cache_clear()
+    spectral._frame.cache_clear()
+
+
+def _consumers(f):
+    """Each reader of the quarter table of f.q, as a call."""
+    q = f.q
+    return {
+        "verify_duality": lambda: verify_duality(f),
+        "ring_coin": lambda: ring_coin(f, RingState(np.ones((4 * q, 2)))),
+        "dual_vector": lambda: dual_vector(f, 1, "L"),
+        "spectrum": lambda: spectrum(f),
+        # a window as wide as 4q fills the cache from the table
+        "schedule": lambda: RotationalSchedule(f).coin_entries(-2 * q, 2 * q),
+    }
+
+
+class TestOneProvenTable:
+    """quarter_trig_table builds and proves each q's table once; every
+    consumer reads those read-only arrays."""
+
+    def test_repeated_calls_return_the_same_read_only_arrays(self):
+        cos, sin = quarter_trig_table(9)
+        assert all(a is b for a, b in zip(quarter_trig_table(9), (cos, sin)))
+        for array in (cos, sin):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+
+    def test_every_consumer_reads_the_one_table(self, monkeypatch):
+        def explode(*_):
+            raise AssertionError("a quarter table was built twice")
+
+        _clear_caches()
+        f = QuarterFraction(5, 7)
+        cos, sin = quarter_trig_table(f.q)
+        monkeypatch.setattr(exact_trig, "_check_table", explode)
+        for g in (f, QuarterFraction(3, 7), QuarterFraction(27, 7)):
+            for call in _consumers(g).values():
+                call()
+        frame = spectral._frame(f.q)
+        assert frame.cos is cos and frame.sin is sin
+        schedule = RotationalSchedule(f)
+        schedule.coin_entries(0, 4 * f.q)
+        assert schedule._table[0] is cos and schedule._table[1] is sin
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("mirror", "is not mirror-symmetric"),
+            ("quarter turn", "is not a quarter turn"),
+            ("corner", "is not a rotation table: corner"),
+        ],
+    )
+    def test_planted_fault_fails_in_every_consumer(self, monkeypatch, fault, message):
+        # the fault is planted in the freshly built table, before its proof:
+        # one ulp on cos[1] breaks the mirror; the same ulp on cos[-1] too
+        # keeps the mirror but breaks the quarter turn; sin[q] a ulp below 1
+        # keeps the rotation bound but not the exact corner
+        def planted(q, cos, sin):
+            if fault == "corner":
+                sin[q] = np.nextafter(1.0, 0.0)
+            else:
+                nudged = np.nextafter(cos[1], 2.0)
+                cos[1] = nudged
+                if fault == "quarter turn":
+                    cos[-1] = nudged
+            real_check(q, cos, sin)
+
+        real_check = exact_trig._check_table
+        f = QuarterFraction(3, 7)
+        _clear_caches()
+        monkeypatch.setattr(exact_trig, "_check_table", planted)
+        for name, call in _consumers(f).items():
+            with pytest.raises(ConvergenceError, match=f"q = 7 {message}"):
+                call()
+            assert quarter_trig_table.cache_info().currsize == 0, name
+        monkeypatch.undo()
+        for call in _consumers(f).values():
+            call()
+        assert quarter_trig_table.cache_info().currsize == 1

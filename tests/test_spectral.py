@@ -22,9 +22,9 @@ from iqwalk import (
     trig_pair_exact,
     unitarity_defect,
 )
-from iqwalk.exact_trig import TRIG_ERROR_BOUND, quarter_trig_table
-from iqwalk import spectral
-from iqwalk.spectral import OPERATOR_ERROR, RESIDUAL_TOL, _check_coin, _check_shift
+from iqwalk import exact_trig, spectral
+from iqwalk.exact_trig import TRIG_ERROR_BOUND, _check_table, quarter_trig_table
+from iqwalk.spectral import OPERATOR_ERROR, RESIDUAL_TOL, _check_shift
 from oracles import (
     EXACT_GAP_3_76,
     EXACT_GAP_3_80,
@@ -112,35 +112,35 @@ class TestBuildMatrices:
 
 
 class TestFactorChecks:
-    """_check_coin and _check_shift prove, once per q, det(coin) = 1,
-    det(shift) = -1 and the mirror symmetry of the coin table in O(n)."""
+    """exact_trig._check_table and _check_shift prove, once per q, det(coin)
+    = 1, det(shift) = -1 and the mirror symmetry of the coin table in O(n)."""
 
     @staticmethod
     def factors():
-        # (cos, sin, column of each shift row's 1): the q = 3 coin table, and
-        # the shift read back from 1/12's factors
-        cos, sin = quarter_trig_table(3)
+        # (cos, sin, column of each shift row's 1): writable copies of the
+        # q = 3 coin table, and the shift read back from 1/12's factors
+        cos, sin = map(np.array, quarter_trig_table(3))
         _, shift = build_matrices(QuarterFraction(1, 3))
         return cos, sin, shift.argmax(axis=1)
 
     def test_walk_factors_pass(self):
         for q in range(1, 41):
-            _check_coin(q, *quarter_trig_table(q))
+            _check_table(q, *quarter_trig_table(q))
         cos, sin, target = self.factors()
-        _check_coin(3, cos, sin)
+        _check_table(3, cos, sin)
         _check_shift(target)
 
     def test_wrong_cosine_is_rejected(self):
         cos, sin, target = self.factors()
         cos[2] += 1e-12
         with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table"):
-            _check_coin(3, cos, sin)
+            _check_table(3, cos, sin)
 
     def test_nan_cosine_is_rejected(self):
         cos, sin, _ = self.factors()
         cos[2] = np.nan
         with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table"):
-            _check_coin(3, cos, sin)
+            _check_table(3, cos, sin)
 
     def test_inexact_corner_is_rejected(self):
         # sin[q] and sin[3q] are the corner sines of every coin of this q;
@@ -149,7 +149,7 @@ class TestFactorChecks:
             cos, sin, _ = self.factors()
             sin[k] = np.nextafter(sin[k], 0.0)
             with pytest.raises(ConvergenceError, match="q = 3 is not a rotation table: corner"):
-                _check_coin(3, cos, sin)
+                _check_table(3, cos, sin)
 
     def test_broken_mirror_pair_is_rejected(self):
         # one ulp on either entry of a pair k, -k keeps the table a rotation
@@ -160,23 +160,27 @@ class TestFactorChecks:
             table = cos if array == "cos" else sin
             table[k] = np.nextafter(table[k], 2.0)
             with pytest.raises(ConvergenceError, match="q = 3 is not mirror-symmetric"):
-                _check_coin(3, cos, sin)
+                _check_table(3, cos, sin)
 
     def test_failed_frame_is_not_cached(self, monkeypatch):
-        def perturbed(q):
-            cos, sin = quarter_trig_table(q)
+        # the fault is planted in the freshly built table, before its proof
+        def perturbed(q, cos, sin):
             cos[1] += 1e-12
-            return cos, sin
+            real_check(q, cos, sin)
 
+        real_check = exact_trig._check_table
         spectral._frame.cache_clear()
-        monkeypatch.setattr(spectral, "quarter_trig_table", perturbed)
+        quarter_trig_table.cache_clear()
+        monkeypatch.setattr(exact_trig, "_check_table", perturbed)
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="q = 7 is not a rotation table"):
                 spectrum(QuarterFraction(3, 7))
         assert spectral._frame.cache_info().currsize == 0
+        assert quarter_trig_table.cache_info().currsize == 0
         monkeypatch.undo()
         assert len(spectrum(QuarterFraction(3, 7)).eigenvalues) == 28
         assert spectral._frame.cache_info().currsize == 1
+        assert quarter_trig_table.cache_info().currsize == 1
 
     def test_two_cycles_are_rejected(self):
         # swapping two images splits the single 12-cycle into two cycles
@@ -431,17 +435,18 @@ class TestStructuredCertificate:
             raise AssertionError("a broken frame reached the eigensolver")
 
         f = QuarterFraction(3, 5)
-        real_table = spectral.quarter_trig_table
+        real_check = exact_trig._check_table
         monkeypatch.setattr(np.linalg, "eig", explode)
-        spectral._frame.cache_clear()
         for k in [k for k in range(4 * f.q) if k % f.q]:
 
-            def negated(q, k=k):
-                tables = dict(zip(("cos", "sin"), real_table(q)))
-                tables[array][k] *= -1.0
-                return tables["cos"], tables["sin"]
+            def negated(q, cos, sin, k=k):
+                # the fault is planted in the freshly built table, before its proof
+                dict(cos=cos, sin=sin)[array][k] *= -1.0
+                real_check(q, cos, sin)
 
-            monkeypatch.setattr(spectral, "quarter_trig_table", negated)
+            spectral._frame.cache_clear()
+            quarter_trig_table.cache_clear()
+            monkeypatch.setattr(exact_trig, "_check_table", negated)
             with pytest.raises(ConvergenceError, match=r"q = 5 .* \(J U J != U\)"):
                 spectrum(f, order)
 
