@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale
 import math
 import os
 import sys
@@ -268,10 +269,24 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".iqwalk-tmp-")
+    # the bytes a text-mode file would hold
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    # created with mode 0o666 so that the umask applies (mkstemp forces 0o600)
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(directory, f".iqwalk-tmp-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary name in {directory}")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

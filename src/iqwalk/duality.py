@@ -14,6 +14,7 @@ ring with no truncation error beyond double rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,17 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     magnitude of a product, sum or difference of finite values.  So the
     residual is the largest |F| over the rows w = 0 .. 2q and the columns
     v with gcd(v, N) dividing w, w - q or w + q.  gap holds -F, exactly.
+    Being a function of q, it is computed once per q and cached
+    (_duality_residual, 64 entries, as quarter_trig_table); a table that
+    fails its proof raises ConvergenceError and caches nothing.
     """
-    q = f.q
+    residual = _duality_residual(f.q)
+    return DualityResiduals(residual, residual)
+
+
+@functools.lru_cache(maxsize=64)
+def _duality_residual(q: int) -> float:
+    # the largest |F| of verify_duality over the reached residue pairs
     size = 4 * q
     cos, sin = quarter_trig_table(q)
     gap = np.multiply.outer(sin[: 2 * q + 1], cos)
@@ -167,5 +177,4 @@ def verify_duality(f: QuarterFraction) -> DualityResiduals:
     rows = np.arange(2 * q + 1)[:, None]
     reach = np.gcd(np.arange(size), size)  # gcd(v, 4q)
     reached = (rows % reach == 0) | ((rows - q) % reach == 0) | ((rows + q) % reach == 0)
-    residual = float(np.abs(gap[reached]).max())
-    return DualityResiduals(residual, residual)
+    return float(np.abs(gap[reached]).max())

@@ -247,9 +247,12 @@ class _WalkOperator:
         blocks[:, layout.slots] = self.source()[layout.picks] * layout.signs
         return blocks.reshape(2, 2, q, q)
 
-    def gauge_residual(self) -> float:
-        """Max of |G U G^-1 + U| over the entries of U; every other entry is 0."""
-        columns, values = self.entries()
+    def gauge_residual(self, entries: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+        """Max of |G U G^-1 + U| over the entries of U; every other entry is 0.
+
+        entries is this operator's entries(), for a caller that holds them.
+        """
+        columns, values = self.entries() if entries is None else entries
         signs = self.frame.signs
         return float(np.abs(signs * signs[columns] * values + values).max())
 
@@ -486,6 +489,23 @@ def _spectrum_of(f: QuarterFraction, op: _WalkOperator) -> Spectrum:
     return Spectrum(f.p, f.q, values, args, radii + OPERATOR_ERROR)
 
 
+# absolute slack on a float arc between two np.angle values, and relative
+# slack on a float chord bound (eigenvalue_gaps)
+_ARC_SLACK = 2.0**-40
+_CHORD_SLACK = 2.0**-40
+# chord bounds outside [_CHORD_MIN, _CHORD_MAX] are not used: below it
+# |a - b| may be subnormal, above it 2 min|v| may overflow
+_CHORD_MIN, _CHORD_MAX = 2.0**-900, 2.0**900
+
+
+def _pair_gaps(values: np.ndarray, radii: np.ndarray, partner: np.ndarray) -> tuple[float, float]:
+    # (measured, lower) minima over the pairs (i, partner[i, k])
+    diffs = np.abs(values[:, None] - values[partner])
+    # a float |a - b| is within gamma_2 of exact (subtraction, hypot)
+    lower = diffs * (1.0 - _gamma(4)) - (radii[:, None] + radii[partner]) * (1.0 + _gamma(2))
+    return float(diffs.min()), float(lower.min())
+
+
 def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float]:
     """(measured, certified lower bound) of the smallest eigenvalue gap.
 
@@ -498,17 +518,79 @@ def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float
     bound <= 0 proves nothing, since two disks may share an eigenvalue.
     With fewer than two values there is no pair, and both are inf: the
     minimum over an empty set, and a single eigenvalue is simple.
+    values and radii must be 1-D and of equal length (ValueError).
+
+    Both minima are bitwise those over all n(n - 1)/2 pairs
+    (tests/oracles.py::all_pairs_eigenvalue_gaps), but only the pairs
+    within a band are evaluated.  Sort the values by a = np.angle(v) and
+    call a pair far if its cyclic index distance exceeds the width w.
+    The band's minima are returned once no far pair can undercut them;
+    otherwise w doubles, up to n // 2, where the band is every pair.
+    Each pair's two floats are computed by the same operations as in the
+    all-pairs matrix, and |a - b| and r_a + r_b are symmetric bitwise, so
+    the band's minima are taken over a subset of the same floats.
+
+    The far bound.  Going either way round the circle from one value of a
+    far pair to the other passes at least w + 1 sorted steps, so the two
+    float arcs are each at least G, the smallest sum of w + 1 cyclically
+    consecutive steps (a window a[k + w + 1] - a[k], or a[k + w + 1 - n] +
+    2 pi - a[k] across the seam).  With phi the exact arguments of the
+    float values, the circular distance theta of a far pair is at least
+    G - _ARC_SLACK: the slack (2**-40, about 2000 ulp of pi) covers the
+    error of two np.angle values, of adding 2 pi, of the window
+    subtraction and of subtracting the slack.  For moduli r, s and theta
+    in [0, pi],
+
+        |v - u|^2 = r^2 + s^2 - 2 r s cos(theta) >= 2 r s (1 - cos(theta))
+                  = (2 sqrt(r s) sin(theta / 2))^2,
+
+    so |v - u| >= 2 m sin(theta' / 2) with m = min |v| and theta' =
+    min(pi, max(0, G - _ARC_SLACK)) <= theta.  The float chord bound
+    D = 2 m sin(theta' / 2) (1 - _CHORD_SLACK) lies below fl|v - u| of
+    every far pair: the relative slack 2**-40 covers the roundings of m,
+    sin, the two products and fl|v - u| itself (a few ulp), as long as
+    these stay normal and finite; a D outside [2**-900, 2**900] is
+    replaced by 0, which fl|v - u| >= 0 bounds trivially.
+    A far pair's lower entry fl(fl(d c1) - fl(fl(r_a + r_b) c2)) rises
+    with d and falls with r_a + r_b, and rounding is monotone, so it is
+    at least L = fl(fl(D c1) - fl(fl(2 r_max) c2)), r_max = max radii.
+    If the band's measured minimum is <= D and its lower minimum is <= L,
+    no far pair is smaller than either, and both are the all-pairs minima.
+    Non-finite input takes all pairs directly.
     """
-    diffs = np.abs(values[:, None] - values[None, :])
-    off_diagonal = ~np.eye(len(values), dtype=bool)
-    # a float |a - b| is within gamma_2 of exact (subtraction, hypot)
-    lower = diffs * (1.0 - _gamma(4)) - (radii[:, None] + radii[None, :]) * (
-        1.0 + _gamma(2)
-    )
-    return (
-        float(diffs[off_diagonal].min(initial=math.inf)),
-        float(lower[off_diagonal].min(initial=math.inf)),
-    )
+    values, radii = np.asarray(values), np.asarray(radii)
+    if values.ndim != 1 or radii.ndim != 1 or len(values) != len(radii):
+        raise ValueError(
+            "values and radii must be 1-D of equal length, "
+            f"got shapes {values.shape} and {radii.shape}"
+        )
+    n = len(values)
+    if n < 2:
+        return math.inf, math.inf
+    finite = bool(np.isfinite(values).all() and np.isfinite(radii).all())
+    args = np.angle(values)
+    order = np.argsort(args, kind="stable")
+    values, radii, args = values[order], radii[order], args[order]
+    turn = np.concatenate((args, args + 2.0 * math.pi))
+    smallest = float(np.abs(values).min())
+    r_max = float(radii.max())
+    width = 1 if finite else n // 2
+    while True:
+        width = min(width, n // 2)
+        partner = (np.arange(n)[:, None] + np.arange(1, width + 1)) % n
+        measured, lower = _pair_gaps(values, radii, partner)
+        if width == n // 2:
+            return measured, lower
+        # the smallest arc over w + 1 sorted steps
+        arc = float((turn[width + 1 : width + 1 + n] - turn[:n]).min())
+        theta = min(math.pi, max(0.0, arc - _ARC_SLACK))
+        chord = 2.0 * smallest * math.sin(theta / 2.0) * (1.0 - _CHORD_SLACK)
+        if not _CHORD_MIN <= chord <= _CHORD_MAX:
+            chord = 0.0
+        floor = chord * (1.0 - _gamma(4)) - (r_max + r_max) * (1.0 + _gamma(2))
+        if measured <= chord and lower <= floor:
+            return measured, lower
+        width *= 2
 
 
 def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -621,12 +703,12 @@ def property_report(f: QuarterFraction) -> PropertyReport:
     """
     cw = _walk_operator(f, "CW")
     spec = _spectrum_of(f, cw)
-    columns, values = cw.entries()
+    columns, values = entries = cw.entries()
     alternating = np.where(np.arange(4 * f.q) % 2 == 1, -1.0, 1.0)
     _, mirror = _walk_operator(f.canonical().complement(), "CW").entries()
     r_reflect = float(np.abs(mirror - alternating * alternating[columns] * values).max())
     r_conj = float(np.abs(values.imag).max())
-    gauge = cw.gauge_residual()
+    gauge = cw.gauge_residual(entries)
     gap, gap_lower = eigenvalue_gaps(spec.eigenvalues, spec.radii)
     targets = np.array([1.0, 1.0j, -1.0, -1.0j])
     r_quartet = float(

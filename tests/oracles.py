@@ -210,6 +210,23 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+def all_pairs_eigenvalue_gaps(values, radii) -> tuple[float, float]:
+    """eigenvalue_gaps over the whole n x n pair matrix, the reference for its band.
+
+    (min |values[i] - values[j]|, min(|values[i] - values[j]|(1 - gamma_4)
+    - (radii[i] + radii[j])(1 + gamma_2))) over i != j, both inf with no pair.
+    """
+    diffs = np.abs(values[:, None] - values[None, :])
+    off_diagonal = ~np.eye(len(values), dtype=bool)
+    lower = diffs * (1.0 - _gamma(4)) - (radii[:, None] + radii[None, :]) * (
+        1.0 + _gamma(2)
+    )
+    return (
+        float(diffs[off_diagonal].min(initial=math.inf)),
+        float(lower[off_diagonal].min(initial=math.inf)),
+    )
+
+
 def complex_eigenpairs(matrix):
     """(values, vectors, radii) from one complex eigensolve of the whole matrix.
 

@@ -235,6 +235,36 @@ class TestEvolveCommand:
         assert "cannot write output" in err
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_mode_follows_the_umask(self, tmp_path, capsys, mask):
+        old = os.umask(mask)
+        try:
+            code, out, _ = run(["evolve", "--alpha", "1/4", "--steps", "5"], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert os.stat(out.strip()).st_mode & 0o777 == 0o666 & ~mask
+        assert [p.name for p in tmp_path.iterdir()] == ["evolve.csv"]
+
+    def test_taken_temporary_name_is_retried(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / f".iqwalk-tmp-{bytes(6).hex()}"
+        taken.write_text("someone else's")
+        names = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        code, out, _ = run(["evolve", "--alpha", "1/4", "--steps", "5"], capsys)
+        assert code == 0
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["evolve.csv", taken.name])
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys):
+        (tmp_path / "evolve.csv").mkdir()
+        code, _, err = run(["evolve", "--alpha", "1/4", "--steps", "5"], capsys)
+        assert code == 1
+        assert "cannot write output" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["evolve.csv"]
+
+
 class TestSpectrumCommand:
     def test_q1_payload(self, capsys):
         code, out, _ = run(["spectrum", "--alpha", "1/4"], capsys)

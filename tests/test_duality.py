@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqwalk import (
+    ConvergenceError,
     DualityResiduals,
     QuarterFraction,
     RingState,
@@ -16,6 +17,7 @@ from iqwalk import (
     ring_shift,
     verify_duality,
 )
+from iqwalk import duality
 from iqwalk.exact_trig import quarter_trig_table
 from oracles import (
     dual_vector_amplitudes_loop,
@@ -140,6 +142,27 @@ class TestVerifyDuality:
 
     def test_residual_container(self):
         assert DualityResiduals(1e-3, 1e-5).max() == 1e-3
+
+    def test_residual_is_computed_once_per_q(self, monkeypatch):
+        duality._duality_residual.cache_clear()
+        first = verify_duality(QuarterFraction(3, 7))
+        monkeypatch.setattr(duality, "quarter_trig_table", None)  # no rebuild for q = 7
+        for p in (1, 5, 27):
+            assert verify_duality(QuarterFraction(p, 7)) == first
+        assert duality._duality_residual.cache_info()[:2] == (3, 1)  # hits, misses
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        def explode(q):
+            raise ConvergenceError(f"trig table for q = {q} is not a rotation table")
+
+        duality._duality_residual.cache_clear()
+        monkeypatch.setattr(duality, "quarter_trig_table", explode)
+        with pytest.raises(ConvergenceError, match="q = 5"):
+            verify_duality(QuarterFraction(3, 5))
+        assert duality._duality_residual.cache_info().currsize == 0
+        monkeypatch.undo()
+        f = QuarterFraction(3, 5)
+        assert verify_duality(f) == DualityResiduals(*grid_duality_residuals(f))
 
 
 class TestAgainstLoops:

@@ -21,7 +21,7 @@ from iqwalk import (
     trig_pair_exact,
     verify_duality,
 )
-from iqwalk import exact_trig, spectral
+from iqwalk import duality, exact_trig, spectral
 from iqwalk.exact_trig import TRIG_ERROR_BOUND, TRIG_Q_MAX, quarter_trig_table
 from oracles import mp_cos_sin
 
@@ -221,6 +221,7 @@ class TestQuarterTrigTable:
 def _clear_caches():
     quarter_trig_table.cache_clear()
     spectral._frame.cache_clear()
+    duality._duality_residual.cache_clear()
 
 
 def _consumers(f):

@@ -28,6 +28,7 @@ from iqwalk.spectral import OPERATOR_ERROR, RESIDUAL_TOL, _check_shift
 from oracles import (
     EXACT_GAP_3_76,
     EXACT_GAP_3_80,
+    all_pairs_eigenvalue_gaps,
     build_trig_loop,
     circular_arg_distance_loop,
     complex_eigenpairs,
@@ -389,6 +390,129 @@ class TestResidualDisks:
         values, _, radii = complex_eigenpairs(np.eye(1))
         assert eigenvalue_gaps(values, radii) == (math.inf, math.inf)
         assert eigenvalue_gaps(np.zeros(0, dtype=complex), np.zeros(0)) == (math.inf, math.inf)
+
+
+def _gap_bits(gaps):
+    # bitwise, with any NaN as NaN
+    return tuple("nan" if math.isnan(x) else x.hex() for x in gaps)
+
+
+@st.composite
+def gap_inputs(draw):
+    """values and radii with few, duplicate, clustered, off-circle, zero or NaN entries."""
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 40)))
+    args = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)))
+    moduli = draw(
+        st.sampled_from(
+            [
+                np.ones(n),
+                np.zeros(n),
+                np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))),
+                np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))),
+            ]
+        )
+    )
+    values = moduli * np.exp(1j * args)
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    if n >= 2:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            values[draw(index)] = values[draw(index)]  # an exact duplicate
+    if n >= 3 and draw(st.booleans()):
+        # a triple within 1e-15
+        i, j, k = draw(index), draw(index), draw(index)
+        values[j] = values[i] + 1e-15
+        values[k] = values[i] + 0.5e-15j
+    for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(math.inf, 5.0)):
+        if n >= 1 and draw(st.integers(min_value=0, max_value=9)) == 0:
+            values[draw(index)] = bad
+    radius = st.one_of(
+        st.floats(0.0, 1e-12),
+        st.floats(0.0, 1e300),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    radii = np.array(draw(st.lists(radius, min_size=n, max_size=n)), dtype=float)
+    return values, radii
+
+
+class TestBandedGaps:
+    """eigenvalue_gaps evaluates only a band of argument-sorted pairs and must
+    give bitwise the minima of the all-pairs matrix in oracles."""
+
+    def test_every_fraction_up_to_q30(self):
+        for f in butterfly_fractions(30):
+            for order in ("CW", "WC"):
+                spec = spectrum(f, order)
+                got = eigenvalue_gaps(spec.eigenvalues, spec.radii)
+                ref = all_pairs_eigenvalue_gaps(spec.eigenvalues, spec.radii)
+                assert _gap_bits(got) == _gap_bits(ref), f"{f} {order}"
+
+    @given(gap_inputs())
+    @settings(max_examples=300)
+    def test_hypothesis_inputs(self, inputs):
+        values, radii = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eigenvalue_gaps(values, radii)
+            ref = all_pairs_eigenvalue_gaps(values, radii)
+        assert _gap_bits(got) == _gap_bits(ref)
+
+    def test_zero_vector(self):
+        values, radii = np.zeros(6, dtype=complex), np.full(6, 1e-15)
+        assert eigenvalue_gaps(values, radii) == all_pairs_eigenvalue_gaps(values, radii)
+
+    def test_band_widens_only_when_a_far_pair_could_undercut_it(self, monkeypatch):
+        widths = []
+        real = spectral._pair_gaps
+
+        def spy(values, radii, partner):
+            widths.append(partner.shape[1])
+            return real(values, radii, partner)
+
+        monkeypatch.setattr(spectral, "_pair_gaps", spy)
+        spec = spectrum(QuarterFraction(1, 30))
+        eigenvalue_gaps(spec.eigenvalues, spec.radii)
+        assert widths == [1]
+        # one tiny modulus leaves the chord bound below the band's minimum
+        widths.clear()
+        values = np.exp(1j * np.linspace(-3.0, 3.0, 20))
+        values[7] *= 1e-3
+        radii = np.full(20, 1e-15)
+        got = eigenvalue_gaps(values, radii)
+        assert widths == [1, 2, 4, 8, 10]
+        assert got == all_pairs_eigenvalue_gaps(values, radii)
+
+    @pytest.mark.parametrize("theta", [0.01, 0.5, 2.0])
+    def test_far_pair_just_below_the_band(self, theta):
+        # a and c, of modulus 1 at arc theta, are a far pair whose distance
+        # 2 sin(theta / 2) is the chord bound exactly; b and d sit just far
+        # enough out that the band's minimum exceeds it by 1e-9 relative
+        chord = 2.0 * math.sin(theta / 2.0)
+        out = math.cos(theta / 2.0) + math.sqrt((chord * (1.0 + 1e-9)) ** 2 - chord**2 / 4.0)
+        values = np.array([1.0, out * np.exp(0.5j * theta), np.exp(1j * theta), -out])
+        radii = np.full(4, 1e-15)
+        assert eigenvalue_gaps(values, radii) == all_pairs_eigenvalue_gaps(values, radii)
+        assert eigenvalue_gaps(values, radii)[0] == pytest.approx(chord, rel=1e-12)
+
+    def test_non_finite_values_take_all_pairs(self):
+        # inf - (inf + 5j) is NaN, in a far pair only; the band would read 0.0
+        values = np.array([complex(math.inf, 0.0), 1.0, complex(math.inf, 5.0), -1.0, -1.0])
+        with np.errstate(invalid="ignore"):
+            got = eigenvalue_gaps(values, np.zeros(5))
+        assert _gap_bits(got) == ("nan", "nan")
+
+    @pytest.mark.parametrize(
+        "values, radii",
+        [
+            (np.array([1.0, 1.0j, -1.0]), np.array([1e-15])),  # one radius for all
+            (np.array([1.0, 1.0j, -1.0]), np.zeros(2)),
+            (np.array([[1.0, 1.0j], [-1.0, -1.0j]]), np.zeros((2, 2))),
+            (np.array([[1.0, 1.0j]]), np.zeros(2)),
+            (np.array([1.0, 1.0j]), np.zeros((1, 2))),
+            (np.array(1.0), np.array(0.0)),
+        ],
+    )
+    def test_rejects_bad_shapes(self, values, radii):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            eigenvalue_gaps(values, radii)
 
 
 def product_error(op, values):
