@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .coins import CoinSchedule, RotationalSchedule, _integer
-from .errors import LeakageError
+from .errors import LeakageError, NumericalDriftError
 from .exact_trig import QuarterFraction
 from .walk import (
     DEFAULT_SPINOR,
@@ -199,6 +199,18 @@ class SpreadEstimate:
     scaled_tail: tuple[float, ...]
 
 
+def _time_power(t: int, theta: float) -> float:
+    try:
+        power = t**theta
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise NumericalDriftError(
+            f"t**theta is not a finite nonzero double at t={t}, theta={theta!r}"
+        )
+    return power
+
+
 def spread_exponent(
     schedule: CoinSchedule,
     checkpoints: Sequence[int],
@@ -212,7 +224,8 @@ def spread_exponent(
     the checkpoints are expanded to dense states for `moment_stats`, so
     every figure equals that of the `step` loop.  Checkpoints must be
     integers; floats and bools raise TypeError.  An unknown order raises
-    ValueError before any step.
+    ValueError, and a t**theta that overflows or underflows to zero at a
+    checkpoint raises NumericalDriftError, both before any step.
     """
     times = sorted({_integer(t, "checkpoint") for t in checkpoints})
     if not times or times[0] < 1:
@@ -220,18 +233,18 @@ def spread_exponent(
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     _check_order(order)
+    scales = {t: _time_power(t, theta) for t in times}
     amps = initial_state(initial).amplitudes
     sigmas: list[float] = []
     tails: list[float] = []
-    want = set(times)
     for t, start, left, right in _sublattice_steps(
         0, 2, amps[:, 0], amps[:, 1], schedule.coin_entries, order, range(1, times[-1] + 1)
     ):
-        if t in want:
+        if t in scales:
             # moments of the dense state: sums over the packed rows would round differently
             stats = moment_stats(_sublattice_state(start, left, right, t))
             sigmas.append(stats.std_dev)
-            tails.append(stats.abs_moments[1] / t**theta)
+            tails.append(stats.abs_moments[1] / scales[t])
     upper = len(times) // 2
     pairs = [
         (math.log(t), math.log(s))

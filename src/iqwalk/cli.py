@@ -19,11 +19,12 @@ import json
 import locale
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import recurrence_series, spread_exponent
@@ -34,8 +35,6 @@ from .errors import (
     ConvergenceError,
     EmptySupportError,
     IndecisiveError,
-    IQWalkError,
-    LeakageError,
     NoApproximantFoundError,
     NumericalDriftError,
     PrecisionExhaustedError,
@@ -58,6 +57,11 @@ _NUMERICAL_EXIT = 2
 _VIOLATION_EXIT = 3
 
 
+# the --alpha forms other than the named constants, matched with re.ASCII
+_FRACTION = r"[+-]?\d+/[+-]?\d+"
+_DECIMAL = r"[+-]?(?=\.?\d)\d*(?:\.\d*)?(?:[eE][+-]?\d+)?"
+
+
 @dataclass(frozen=True)
 class ParsedAlpha:
     """One --alpha value in every representation a command may need."""
@@ -77,15 +81,18 @@ def parse_alpha(text: str) -> ParsedAlpha:
     walk commands but +-1 unit in the last place for approximation.  A
     rational whose reduced denominator exceeds TRIG_Q_MAX is rejected:
     every coin angle modulus is at most that denominator, so up to it
-    exact trig evaluates them all.
+    exact trig evaluates them all.  Only ASCII digits are read: int() and
+    Fraction() would also take other scripts' digits and underscores.
     """
     text = text.strip()
     if text in NAMED_CONSTANTS:
         enc = NAMED_CONSTANTS[text](NAMED_DIGITS)
         return ParsedAlpha(text, None, enc, enc)
     if "/" in text:
-        num_text, _, den_text = text.partition("/")
         try:
+            if not re.fullmatch(_FRACTION, text, re.ASCII):
+                raise ValueError(text)
+            num_text, _, den_text = text.partition("/")
             num, den = int(num_text), int(den_text)
         except ValueError:
             raise UsageError(f"malformed fraction {text!r}") from None
@@ -103,8 +110,10 @@ def parse_alpha(text: str) -> ParsedAlpha:
         value = Fraction(num, den)
         return ParsedAlpha(text, None, value, RealEnclosure.from_fraction(value, text))
     try:
+        if not re.fullmatch(_DECIMAL, text, re.ASCII):
+            raise ValueError(text)
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise UsageError(
             f"cannot parse alpha {text!r}; expected p/(4q), a decimal, "
             f"or one of {sorted(NAMED_CONSTANTS)}"
@@ -146,15 +155,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-_NATURAL_FORMAT = {
-    "evolve": "csv",
-    "spectrum": "json",
-    "butterfly": "csv",
-    "approximate": "json",
-    "duality-check": "json",
-    "properties": "json",
-    "recurrence": "csv",
-    "spread": "json",
+class _Command(NamedTuple):
+    """One subcommand: the parser, parse_args and execute all read this."""
+
+    help: str
+    format: str  # of the output file: "csv" or "json"
+    run: Callable[[RunConfig], tuple[str, int]]
+    # None: no --alpha; "walk": any alpha, walked exactly, with the _WALK
+    # options; "real": any alpha whose midpoint a double holds; "quarter": p/(4q)
+    alpha: str | None = None
+    options: tuple[str, ...] = ("output",)  # _OPTIONS after --alpha and _WALK, in order
+    q_max: int = 0  # the --q-max default; 0 without --q-max
+
+
+_WALK = ("steps", "coins", "seed", "initial")
+
+# flags and keywords of each option but --alpha; only --steps states a
+# default, as a command without --steps reads 0 (see _build_parser)
+_OPTIONS = {
+    "steps": (("--steps",), {"type": int, "default": 1000}),
+    "coins": (("--coins",), {"choices": ("rotational", "random"),
+                             "help": "coin family; random draws Haar coins keyed by --seed"}),
+    "seed": (("--seed",), {"type": int}),
+    "initial": (("--initial",), {"nargs": 2, "metavar": ("LEFT", "RIGHT"),
+                                 "help": "initial chirality spinor, e.g. --initial 0.6 0.8j"}),
+    "q_max": (("--qmax", "--q-max"), {"dest": "q_max", "type": int}),
+    "output": (("--output",), {"help": "output path"}),
+    "count": (("--count",), {"type": int}),
+    "theta": (("--theta",), {"type": float}),
 }
 
 
@@ -163,45 +191,21 @@ def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="iqwalk", allow_abbrev=False, description=__doc__)
     parser.add_argument("--version", action="version", version=f"iqwalk {__version__}")
+    # each option's value when a command lacks it or it is not given: the
+    # subparsers' SUPPRESS keeps an option not given out of the namespace
+    parser.set_defaults(alpha=None, steps=0, coins="rotational", seed=None, initial=None,
+                        output=None, count=3, theta=0.5)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-
-    def add(name: str, help_text: str, *, alpha=False, walk=False, qmax=False):
-        s = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if alpha:
+    for name, command in _COMMANDS.items():
+        s = sub.add_parser(name, help=command.help, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        if command.alpha:
             s.add_argument("--alpha", required=True, help="p/(4q), decimal, pi/2, golden")
-        if walk:
-            s.add_argument("--steps", type=int, default=1000)
-            s.add_argument(
-                "--coins",
-                choices=("rotational", "random"),
-                default="rotational",
-                help="coin family; random draws Haar coins keyed by --seed",
-            )
-            s.add_argument("--seed", type=int, default=None)
-            s.add_argument(
-                "--initial",
-                nargs=2,
-                metavar=("LEFT", "RIGHT"),
-                default=None,
-                help="initial chirality spinor, e.g. --initial 0.6 0.8j",
-            )
-        if qmax:
-            s.add_argument("--qmax", "--q-max", dest="q_max", type=int, default=50)
-        s.add_argument("--output", default=None, help="output path")
-        return s
-
-    add("evolve", "evolve a walker and write its distribution", alpha=True, walk=True)
-    add("spectrum", "eigenvalues of the finite walk operator", alpha=True)
-    add("butterfly", "spectra for every quarter fraction up to q-max", qmax=True)
-    approx = add("approximate", "certified quarter-fraction approximants", alpha=True)
-    approx.add_argument("--count", type=int, default=3)
-    approx.add_argument("--qmax", "--q-max", dest="q_max", type=int, default=DEFAULT_Q_MAX)
-    add("duality-check", "role-swap residuals on the ring", alpha=True)
-    add("properties", "spectral property report", alpha=True)
-    add("recurrence", "origin probability over time", alpha=True, walk=True)
-    spread = add("spread", "spread growth and fitted exponent", alpha=True, walk=True)
-    spread.add_argument("--theta", type=float, default=0.5)
+        for option in (_WALK if command.alpha == "walk" else ()) + command.options:
+            flags, keywords = _OPTIONS[option]
+            s.add_argument(*flags, **keywords)
+        s.set_defaults(q_max=command.q_max)
     return parser
 
 
@@ -219,50 +223,43 @@ def _parse_spinor(raw: Sequence[str] | None) -> tuple[complex, complex]:
 def parse_args(argv: Sequence[str]) -> RunConfig:
     """Strictly validate argv into a RunConfig; raises UsageError."""
     ns = _build_parser().parse_args(list(argv))
-    command = ns.command
-    fmt = _NATURAL_FORMAT[command]
-    alpha = parse_alpha(ns.alpha) if getattr(ns, "alpha", None) else None
-    coins = getattr(ns, "coins", "rotational")
-    seed = getattr(ns, "seed", None)
-    if coins == "random" and seed is None:
+    command = _COMMANDS[ns.command]
+    alpha = parse_alpha(ns.alpha) if command.alpha else None
+    if ns.coins == "random" and ns.seed is None:
         raise UsageError("--coins random requires --seed")
-    steps = getattr(ns, "steps", 0)
-    if steps < 0:
-        raise UsageError(f"--steps must be non-negative, got {steps}")
-    q_max = getattr(ns, "q_max", 0)
-    if q_max < 1 and command in ("butterfly", "approximate"):
-        raise UsageError(f"--q-max must be positive, got {q_max}")
-    count = getattr(ns, "count", 3)
-    if command == "approximate":
-        if count < 1:
-            raise UsageError(f"--count must be positive, got {count}")
+    if ns.steps < 0:
+        raise UsageError(f"--steps must be non-negative, got {ns.steps}")
+    if command.q_max and ns.q_max < 1:
+        raise UsageError(f"--q-max must be positive, got {ns.q_max}")
+    if ns.count < 1:
+        raise UsageError(f"--count must be positive, got {ns.count}")
+    if command.alpha == "real":
         try:  # the output holds each approximant and its error as JSON floats
             float(alpha.enclosure.midpoint)
         except OverflowError:
             raise UsageError(f"alpha {alpha.source_text!r} is beyond double range") from None
-    theta = getattr(ns, "theta", 0.5)
-    if not math.isfinite(theta):
-        raise UsageError(f"--theta must be finite, got {theta!r}")
-    if command in ("spectrum", "duality-check", "properties") and alpha.quarter is None:
+    if not math.isfinite(ns.theta):
+        raise UsageError(f"--theta must be finite, got {ns.theta!r}")
+    if command.alpha == "quarter" and alpha.quarter is None:
         raise UsageError(
-            f"{command} requires a quarter fraction p/(4q), got {alpha.source_text!r}"
+            f"{ns.command} requires a quarter fraction p/(4q), got {alpha.source_text!r}"
         )
     output = ns.output
     if output is None:
         base = os.environ.get(OUTPUT_DIR_ENV, ".")
-        output = os.path.join(base, f"{command}.{fmt}")
+        output = os.path.join(base, f"{ns.command}.{command.format}")
     return RunConfig(
-        command=command,
+        command=ns.command,
         alpha=alpha,
-        steps=steps,
-        q_max=q_max,
-        theta=theta,
-        count=count,
-        seed=seed,
-        coins=coins,
-        initial=_parse_spinor(getattr(ns, "initial", None)),
+        steps=ns.steps,
+        q_max=ns.q_max,
+        theta=ns.theta,
+        count=ns.count,
+        seed=ns.seed,
+        coins=ns.coins,
+        initial=_parse_spinor(ns.initial),
         output=output,
-        format=fmt,
+        format=command.format,
     )
 
 
@@ -443,21 +440,26 @@ def _run_spread(config: RunConfig) -> tuple[str, int]:
     return _json_text(config, payload), 0
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "spectrum": _run_spectrum,
-    "butterfly": _run_butterfly,
-    "approximate": _run_approximate,
-    "duality-check": _run_duality_check,
-    "properties": _run_properties,
-    "recurrence": _run_recurrence,
-    "spread": _run_spread,
+_COMMANDS = {
+    "evolve": _Command("evolve a walker and write its distribution", "csv", _run_evolve, "walk"),
+    "spectrum": _Command("eigenvalues of the finite walk operator", "json", _run_spectrum,
+                         "quarter"),
+    "butterfly": _Command("spectra for every quarter fraction up to q-max", "csv", _run_butterfly,
+                          options=("q_max", "output"), q_max=50),
+    "approximate": _Command("certified quarter-fraction approximants", "json", _run_approximate,
+                            "real", options=("output", "count", "q_max"), q_max=DEFAULT_Q_MAX),
+    "duality-check": _Command("role-swap residuals on the ring", "json", _run_duality_check,
+                              "quarter"),
+    "properties": _Command("spectral property report", "json", _run_properties, "quarter"),
+    "recurrence": _Command("origin probability over time", "csv", _run_recurrence, "walk"),
+    "spread": _Command("spread growth and fitted exponent", "json", _run_spread, "walk",
+                       options=("output", "theta")),
 }
 
 
 def execute(config: RunConfig) -> int:
     """Run one validated command; writes its output file atomically."""
-    text, code = _RUNNERS[config.command](config)
+    text, code = _COMMANDS[config.command].run(config)
     _atomic_write(config.output, text)
     print(config.output)
     return code
@@ -477,24 +479,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_args(argv)
+        return execute(parse_args(argv))
     except (UsageError, RationalInputError) as exc:
-        print(f"iqwalk: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    try:
-        return execute(config)
-    except (UsageError, RationalInputError) as exc:
-        print(f"iqwalk: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        code, reason = _USAGE_EXIT, exc
     except _NUMERICAL_ERRORS as exc:
-        print(f"iqwalk: numerical failure: {exc}", file=sys.stderr)
-        return _NUMERICAL_EXIT
-    except LeakageError as exc:
-        print(f"iqwalk: property violation: {exc}", file=sys.stderr)
-        return _VIOLATION_EXIT
+        code, reason = _NUMERICAL_EXIT, f"numerical failure: {exc}"
     except OSError as exc:
-        print(f"iqwalk: cannot write output: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        code, reason = _USAGE_EXIT, f"cannot write output: {exc}"
+    print(f"iqwalk: {reason}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

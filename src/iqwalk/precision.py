@@ -75,14 +75,24 @@ class RealEnclosure:
 
     @property
     def certified_digits(self) -> int:
-        """Significant decimal digits certified by the enclosure width."""
+        """Significant decimal digits certified by the enclosure width.
+
+        max(0, floor(log10(|midpoint| / width))), with |midpoint| taken as
+        1 when it is 0, in exact integer arithmetic, so no width is too
+        small or too large for a double.
+        """
         if self.is_point:
             return 10**6
-        scale = abs(self.midpoint)
-        if scale == 0:
-            scale = Fraction(1)
-        rel = self.width / scale
-        return max(0, int(-math.log10(rel)))
+        ratio = (abs(self.midpoint) or 1) // self.width
+        if ratio < 1:
+            return 0
+        # floor(log10(x)) = floor(log10(floor(x))) for x >= 1; the float guess may be off by one
+        digits = int(math.log10(ratio))
+        while 10**digits > ratio:
+            digits -= 1
+        while 10 ** (digits + 1) <= ratio:
+            digits += 1
+        return digits
 
     def fractional_part(self) -> "RealEnclosure":
         """Enclosure of x mod 1; both endpoints must share their floor."""

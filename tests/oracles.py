@@ -499,6 +499,16 @@ def build_trig_loop(f):
     return trig[:, 0], trig[:, 1]
 
 
+def float_certified_digits(enclosure) -> int:
+    """RealEnclosure.certified_digits as a float log10 of the relative width,
+    which raises past double range and overstates by one where the ratio
+    lies within a rounding below a power of ten."""
+    if enclosure.is_point:
+        return 10**6
+    scale = abs(enclosure.midpoint) or Fraction(1)
+    return max(0, int(-math.log10(enclosure.width / scale)))
+
+
 def enclosure_cos_sin_uncached(enclosure, n):
     """RealEnclosure.cos_sin_two_pi with the precision and midpoint rebuilt per call."""
     dps = min(enclosure.certified_digits, 120) + 10

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iqwalk import (
     CustomSchedule,
     LeakageError,
+    NumericalDriftError,
     QuarterFraction,
     RandomSchedule,
     RotationalSchedule,
@@ -289,6 +290,26 @@ class TestSpreadExponent:
         with pytest.raises(ValueError, match="theta must be finite"):
             spread_exponent(RandomSchedule(1), [4, 8], theta=theta)
 
+
+    @pytest.mark.parametrize("theta", [400.0, -400.0])
+    def test_power_beyond_double_range_raises_before_any_step(self, monkeypatch, theta):
+        # 125**400 overflows and 125**-400 underflows to 0.0: the tail used to
+        # raise OverflowError or ZeroDivisionError, with the walk half done
+        def no_steps(*args):
+            raise AssertionError("walked before the powers were checked")
+
+        monkeypatch.setattr(iqwalk.analysis, "_sublattice_steps", no_steps)
+        with pytest.raises(NumericalDriftError, match=rf"t=125, theta={theta!r}"):
+            spread_exponent(RotationalSchedule(Fraction(1, 6)), [125, 250], theta=theta)
+
+    def test_largest_power_at_1000_steps(self):
+        # 1000**102 is a double, 1000**103 is not; theta = 0 divides by 1.0
+        schedule = RotationalSchedule(Fraction(1, 6))
+        (abs_moment,) = spread_exponent(schedule, [1000], theta=0.0).scaled_tail
+        (tail,) = spread_exponent(schedule, [1000], theta=102.0).scaled_tail
+        assert tail == abs_moment / 1000**102.0 > 0.0
+        with pytest.raises(NumericalDriftError, match=r"t=1000, theta=103\.0"):
+            spread_exponent(schedule, [1, 1000], theta=103.0)
 
 def _leak_outcome(fn, state, interval):
     try:

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +91,58 @@ class TestParseAlpha:
         assert parse_alpha(f"1/{2**1022}").walk_value == QuarterFraction(1, 2**1020)
         assert parse_alpha("1e-300").walk_value == Fraction(1, 10**300)
 
+    # forms that int() or Fraction() read: other scripts' digits, underscores,
+    # whitespace around the slash
+    REJECTED_FORMS = [
+        "\u0663/\u0662\u0660",  # Arabic-Indic 3/20
+        "\uff13/\uff12\uff10",  # fullwidth 3/20
+        "\uff11/\uff11\uff12",  # fullwidth 1/12
+        "1_1/4_0",
+        "3 / 20",
+        "3 /20",
+        "3/ 20",
+        "\u0660.\u0662\u0665",  # Arabic-Indic 0.25
+        "0.2_5",
+        "1_0e-1",
+        "1e1_0",
+        "\uff10.\uff12\uff15",  # fullwidth 0.25
+    ]
+
+    @pytest.mark.parametrize("text", REJECTED_FORMS)
+    def test_only_ascii_digits_are_read(self, text, capsys, _output_dir):
+        with pytest.raises(UsageError, match="malformed fraction|cannot parse alpha"):
+            parse_alpha(text)
+        code, out, err = run(["properties", "--alpha", text], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("iqwalk: ") and err.count("\n") == 1
+        assert list(_output_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1/12", Fraction(1, 12)),
+            (" 3/20 ", Fraction(3, 20)),
+            ("+3/20", Fraction(3, 20)),
+            ("3/+20", Fraction(3, 20)),
+            ("0003/020", Fraction(3, 20)),
+            (f"1/{2**1022}", Fraction(1, 2**1022)),
+            ("1/6", Fraction(1, 6)),
+            ("0.25", Fraction(1, 4)),
+            ("+.25", Fraction(1, 4)),
+            ("25e-2", Fraction(1, 4)),
+            ("2.5E-1", Fraction(1, 4)),
+            ("5.", Fraction(5)),
+            ("1e-300", Fraction(1, 10**300)),
+            ("1.7976931348623157e308", Fraction(17976931348623157 * 10**292)),
+            ("0.6180339887498948482045868343656381177203091798",
+             Fraction(6180339887498948482045868343656381177203091798, 10**46)),
+        ],
+    )
+    def test_ascii_forms_still_parse(self, text, value):
+        parsed = parse_alpha(text)
+        assert parsed.enclosure.midpoint == value
+        assert parsed.source_text == text.strip()
+
 
 class TestParseArgs:
     def test_evolve_defaults(self, tmp_path):
@@ -150,6 +205,7 @@ class TestParseArgs:
             (["frobnicate"], "invalid choice"),
             (["approximate", "--alpha", "1e400"], "beyond double range"),
             (["approximate", "--alpha", "1.8e308"], "beyond double range"),
+            (["evolve", "--alpha", ""], "cannot parse alpha ''"),
         ],
     )
     def test_usage_errors(self, argv, message):
@@ -532,6 +588,24 @@ class TestSpreadCommand:
         assert code == 1
         assert "at least 8" in err
 
+    @pytest.mark.parametrize(
+        "steps,theta", [("8", "400"), ("8", "-400"), ("1000", "103")]
+    )
+    def test_power_beyond_double_range_exits_two(self, capsys, _output_dir, steps, theta):
+        code, out, err = run(
+            ["spread", "--alpha", "1/6", "--steps", steps, "--theta", theta], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("iqwalk: numerical failure: t**theta") and err.count("\n") == 1
+        assert f"theta={float(theta)!r}" in err
+        assert list(_output_dir.iterdir()) == []
+
+    def test_largest_theta_at_1000_steps_runs(self, capsys):
+        code, out, _ = run(["spread", "--alpha", "1/6", "--theta", "102"], capsys)
+        assert code == 0
+        payload = json.loads(open(out.strip()).read())
+        assert all(0.0 < tail for tail in payload["scaled_tail"])
+
     @given(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999"]))
     def test_non_finite_theta_is_rejected_at_parse_time(self, theta):
         with pytest.raises(UsageError, match="--theta must be finite"):
@@ -614,3 +688,38 @@ class TestUsageExit:
         assert err.startswith("iqwalk: ") and err.count("\n") == 1
         assert "denominator above 2**1022" in err
         assert list(_output_dir.iterdir()) == []
+
+
+class TestProcess:
+    """`python -m iqwalk.cli` in a fresh interpreter, as the console script runs it."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["properties", "--alpha", "3/20"], 0),
+            (["evolve", "--alpha", "1/4", "--nope"], 1),
+            (["approximate", "--alpha", "1e300"], 2),
+            (["properties", "--alpha", "3/196"], 3),
+        ],
+    )
+    def test_exit_code_and_one_message(self, _output_dir, argv, code):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "iqwalk.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            cwd=_output_dir,
+            timeout=120,
+        )
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        if code in (0, 3):  # the output path on stdout, nothing on stderr
+            assert done.stdout == f"{_output_dir / 'properties.json'}\n"
+            assert done.stderr == ""
+        else:  # one reason on stderr; argparse's usage line follows a usage error
+            assert done.stdout == ""
+            message, *usage = done.stderr.splitlines()
+            assert message.startswith("iqwalk: ")
+            assert usage == (["usage: iqwalk [-h] [--version] COMMAND ..."] if code == 1 else [])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,11 +10,12 @@ from iqwalk import (
     IndecisiveError,
     NAMED_CONSTANTS,
     RealEnclosure,
+    RotationalSchedule,
     golden_mean,
     pi_half,
     sqrt2_minus_one,
 )
-from oracles import enclosure_cos_sin_uncached, mp_cos_sin
+from oracles import enclosure_cos_sin_uncached, float_certified_digits, mp_cos_sin
 
 
 class TestNamedConstants:
@@ -130,6 +132,52 @@ class TestTrigMidpointOnce:
         enclosure = golden_mean(40)
         dps = min(enclosure.certified_digits, 120) + 10
         assert enclosure.to_mpf() == enclosure.to_mpf(dps)
+
+
+class TestCertifiedDigits:
+    """floor(log10(|midpoint| / width)) in integers, against the float formula."""
+
+    def test_width_below_double_range(self):
+        # the float formula took log10 of 0.0: math domain error
+        tiny = Fraction(1, 10**400)
+        assert RealEnclosure(1 - tiny, 1 + tiny).certified_digits == 399
+        assert RealEnclosure(-tiny, tiny).certified_digits == 399
+        decimal = RealEnclosure.from_decimal("0." + "1" * 400, 1)
+        assert decimal.certified_digits == 398
+        assert RotationalSchedule(decimal).coin_entries(-2, 2)[0].shape == (5,)
+
+    def test_width_above_double_range(self):
+        # the float formula overflowed converting width / |midpoint| = 2e309
+        assert RealEnclosure(Fraction(-10**309), Fraction(10**309 + 2)).certified_digits == 0
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 15, 16, 17, 22, 23, 100, 299])
+    def test_exact_powers_of_ten(self, k):
+        width = Fraction(1, 10**k)
+        enclosure = RealEnclosure(1 - width / 2, 1 + width / 2)
+        assert enclosure.certified_digits == k == float_certified_digits(enclosure)
+        point = RealEnclosure(Fraction(10**k) - Fraction(1, 2), Fraction(10**k) + Fraction(1, 2))
+        assert point.certified_digits == k == float_certified_digits(point)
+
+    def test_named_constants_agree_with_the_float_formula(self):
+        for build in NAMED_CONSTANTS.values():
+            enclosure = build(40)
+            assert enclosure.certified_digits == float_certified_digits(enclosure)
+
+    def test_decimals_agree_with_the_float_formula(self):
+        rng = random.Random(7)
+        for digits in range(1, 301):
+            body = "".join(rng.choice("0123456789") for _ in range(digits - 1)) + "1"
+            for text in ("0." + body, "3." + body, "0.000" + body):
+                for ulps in (1, 5):
+                    enclosure = RealEnclosure.from_decimal(text, ulps)
+                    assert enclosure.certified_digits == float_certified_digits(enclosure), text
+
+    def test_ratio_just_below_a_power_of_ten(self):
+        # |midpoint| / width = 99999999999999.9 rounds up to 1e14 as a double
+        enclosure = RealEnclosure.from_decimal("0.999999999999999", 5)
+        assert 10**13 <= abs(enclosure.midpoint) / enclosure.width < 10**14
+        assert enclosure.certified_digits == 13
+        assert float_certified_digits(enclosure) == 14
 
 
 def _enclosure(name, digits, fractional):
