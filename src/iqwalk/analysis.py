@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coins import CoinSchedule, RotationalSchedule, _integer
-from .errors import LeakageError, NumericalDriftError
+from .coins import CoinSchedule, RotationalSchedule
+from .errors import LeakageError, NumericalDriftError, _integer
 from .exact_trig import QuarterFraction
 from .walk import (
     DEFAULT_SPINOR,

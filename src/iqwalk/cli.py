@@ -57,9 +57,14 @@ _NUMERICAL_EXIT = 2
 _VIOLATION_EXIT = 3
 
 
-# the --alpha forms other than the named constants, matched with re.ASCII
+# the --alpha forms other than the named constants, matched with re.ASCII;
+# a decimal's groups are its integer digits, fraction digits and exponent
 _FRACTION = r"[+-]?\d+/[+-]?\d+"
-_DECIMAL = r"[+-]?(?=\.?\d)\d*(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_DECIMAL = r"[+-]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?"
+# the largest decimal exponent read.  Fraction(text) builds 10**exponent, at
+# a cost that grows with it; the cap is the 4300 digits int() reads from
+# text by default, the bound a literal's own digits are held to
+_EXPONENT_MAX = 4300
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,8 @@ def parse_alpha(text: str) -> ParsedAlpha:
     walk commands but +-1 unit in the last place for approximation.  A
     rational whose reduced denominator exceeds TRIG_Q_MAX is rejected:
     every coin angle modulus is at most that denominator, so up to it
-    exact trig evaluates them all.  Only ASCII digits are read: int() and
+    exact trig evaluates them all.  A decimal exponent above
+    _EXPONENT_MAX is rejected.  Only ASCII digits are read: int() and
     Fraction() would also take other scripts' digits and underscores.
     """
     text = text.strip()
@@ -110,16 +116,17 @@ def parse_alpha(text: str) -> ParsedAlpha:
         value = Fraction(num, den)
         return ParsedAlpha(text, None, value, RealEnclosure.from_fraction(value, text))
     try:
-        if not re.fullmatch(_DECIMAL, text, re.ASCII):
+        match = re.fullmatch(_DECIMAL, text, re.ASCII)
+        if not match:
             raise ValueError(text)
+        whole, places, exponent = match.groups("")
+        _check_decimal(text, whole + places, len(places), int(exponent or 0))
         value = Fraction(text)
     except ValueError:
         raise UsageError(
             f"cannot parse alpha {text!r}; expected p/(4q), a decimal, "
             f"or one of {sorted(NAMED_CONSTANTS)}"
         ) from None
-    if value <= 0:
-        raise UsageError(f"alpha must be positive, got {text!r}")
     _check_denominator(text, value)
     return ParsedAlpha(
         text, None, value, RealEnclosure.from_decimal(text, uncertainty_last_place=1)
@@ -128,9 +135,31 @@ def parse_alpha(text: str) -> ParsedAlpha:
 
 def _check_denominator(text: str, value: Fraction) -> None:
     if value.denominator > TRIG_Q_MAX:
-        raise UsageError(
-            f"alpha {text!r} has a denominator above 2**1022, beyond double-precision coin angles"
-        )
+        raise _denominator_error(text)
+
+
+def _denominator_error(text: str) -> UsageError:
+    return UsageError(
+        f"alpha {text!r} has a denominator above 2**1022, beyond double-precision coin angles"
+    )
+
+
+def _check_decimal(text: str, digits: str, places: int, exponent: int) -> None:
+    """Reject the decimal +-int(digits) * 10**(exponent - places) if it is not
+    positive or its exponent is out of reach, before Fraction(text) builds
+    the power.
+
+    int(digits) < 10**s, with s its significant digits, so it shares less
+    than 10**s with 10**(places - exponent): the reduced denominator is
+    above 10**(places - exponent - s), which from 10**308 exceeds 2**1022.
+    """
+    significant = len(digits.lstrip("0"))
+    if not significant or text.startswith("-"):
+        raise UsageError(f"alpha must be positive, got {text!r}")
+    if exponent > _EXPONENT_MAX:
+        raise UsageError(f"alpha {text!r} has a decimal exponent above {_EXPONENT_MAX}")
+    if places - exponent - significant >= 308:
+        raise _denominator_error(text)
 
 
 @dataclass(frozen=True)
@@ -162,8 +191,9 @@ class _Command(NamedTuple):
     format: str  # of the output file: "csv" or "json"
     run: Callable[[RunConfig], tuple[str, int]]
     # None: no --alpha; "walk": any alpha, walked exactly, with the _WALK
-    # options; "real": any alpha whose midpoint a double holds; "quarter": p/(4q)
+    # options; "real": any alpha; "quarter": p/(4q)
     alpha: str | None = None
+    double: bool = False  # the output holds alpha as a JSON float: its midpoint must fit a double
     options: tuple[str, ...] = ("output",)  # _OPTIONS after --alpha and _WALK, in order
     q_max: int = 0  # the --q-max default; 0 without --q-max
 
@@ -233,8 +263,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         raise UsageError(f"--q-max must be positive, got {ns.q_max}")
     if ns.count < 1:
         raise UsageError(f"--count must be positive, got {ns.count}")
-    if command.alpha == "real":
-        try:  # the output holds each approximant and its error as JSON floats
+    if command.double:
+        try:
             float(alpha.enclosure.midpoint)
         except OverflowError:
             raise UsageError(f"alpha {alpha.source_text!r} is beyond double range") from None
@@ -443,11 +473,12 @@ def _run_spread(config: RunConfig) -> tuple[str, int]:
 _COMMANDS = {
     "evolve": _Command("evolve a walker and write its distribution", "csv", _run_evolve, "walk"),
     "spectrum": _Command("eigenvalues of the finite walk operator", "json", _run_spectrum,
-                         "quarter"),
+                         "quarter", double=True),
     "butterfly": _Command("spectra for every quarter fraction up to q-max", "csv", _run_butterfly,
                           options=("q_max", "output"), q_max=50),
     "approximate": _Command("certified quarter-fraction approximants", "json", _run_approximate,
-                            "real", options=("output", "count", "q_max"), q_max=DEFAULT_Q_MAX),
+                            "real", options=("output", "count", "q_max"), q_max=DEFAULT_Q_MAX,
+                            double=True),
     "duality-check": _Command("role-swap residuals on the ring", "json", _run_duality_check,
                               "quarter"),
     "properties": _Command("spectral property report", "json", _run_properties, "quarter"),

@@ -14,12 +14,12 @@ whole buffer at a time, bitwise equal to haar_coin.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import numpy as np
 
+from .errors import _integer
 from .exact_trig import QuarterFraction, fraction_cos_sin, quarter_trig_table, trig_pair_exact
 from .precision import RealEnclosure
 
@@ -63,16 +63,6 @@ def reflecting_coin(phase: float = 0.0) -> np.ndarray:
     """Zero-diagonal unitary coin; acts as a perfect barrier in the walk."""
     u = complex(math.cos(phase), math.sin(phase))
     return np.array([[0.0, -u], [np.conj(u), 0.0]], dtype=complex)
-
-
-def _integer(value, what: str) -> int:
-    """value as a Python int; floats, bools and NaN raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, not a bool ({value!r})")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def haar_coin(seed: int, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import _integer
+from .errors import _integer
 from .exact_trig import QuarterFraction, quarter_trig_table
 
 __all__ = [

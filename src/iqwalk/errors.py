@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its integer check.
 
 Numerical failures (drift, non-convergence) and structural failures
 (leakage past a proven barrier, undecidable bound checks) get distinct
 types so callers and the command line can map them to exit codes.
 """
+
+import operator
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int; floats, bools and NaN raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not a bool ({value!r})")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 class IQWalkError(Exception):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _integer
 
 __all__ = [
     "TRIG_ERROR_BOUND",
@@ -70,6 +70,8 @@ class QuarterFraction:
     q: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _integer(self.p, "p"))
+        object.__setattr__(self, "q", _integer(self.q, "q"))
         if self.q < 1:
             raise ValueError(f"q must be a positive integer, got {self.q}")
         if self.p < 1:

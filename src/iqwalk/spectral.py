@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _integer
 from .exact_trig import TRIG_ERROR_BOUND, QuarterFraction, quarter_trig_table
 
 __all__ = [
@@ -45,6 +45,8 @@ RESIDUAL_TOL = 1e-9
 UNIMODULAR_TOL = 1e-12
 DET_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
+# the eigenvalues every walk operator holds (PropertyReport.quartet)
+_QUARTET = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 # ||float operator - exact operator||_2 for either factor order.  The shift
 # is an exact permutation, so the float product only permutes coin entries;
@@ -109,7 +111,23 @@ class _Frame:
     cos and sin are quarter_trig_table(q), proven there.  target[i] is the
     column of the 1 in shift row i, a single 4q-cycle that commutes with J.
     layouts holds a _Layout for each order.  signs is the diagonal of the
-    parity gauge G.  All arrays are read-only.
+    parity gauge G, and alternating that of T = diag((-1)^i)
+    (property_report).  All arrays are read-only.
+
+    abs_norm is ||U||_abs and row_nonzeros the most nonzeros in a row of U,
+    the k of _radii, for every p and both orders of this q.  Each row and
+    each column of |U| holds |c| and |s| of one coin block, or a corner's 1
+    and a zero, so per fraction ||U||_abs is max(1, |c| + |s|) and
+    row_nonzeros is 2 if some block has c s != 0, else 1, over the table
+    entries k(n) = p n mod 4q of the sites n = -q + 1 .. q - 1.  Both depend on k(n) mod q
+    alone: the quarter turn sin[k + q] == cos[k], cos[k + q] == -sin[k]
+    (quarter_trig_table) gives entry k + q the float |sin[k]| + |cos[k]|,
+    bitwise |cos[k]| + |sin[k]| since float addition commutes, and the
+    same two factors of c s.  The 2q - 1 sites reach every residue mod q,
+    and p is a unit mod q, so the k(n) reach every residue mod q too: the
+    maximum and the test over the fraction's sites are those over the
+    whole table.  The table has c s != 0 exactly off the multiples of q,
+    so row_nonzeros is 2 for q > 1 and 1 for q = 1.
     """
 
     cos: np.ndarray
@@ -117,6 +135,9 @@ class _Frame:
     target: np.ndarray
     layouts: dict[str, _Layout]
     signs: np.ndarray
+    alternating: np.ndarray
+    abs_norm: float
+    row_nonzeros: int
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,8 +162,11 @@ def _frame(q: int) -> _Frame:
         "WC": _layout(np.stack([target, partner[target]]), target),
     }
     signs = np.where(_odd_sites(dim), -1.0, 1.0)
-    target.flags.writeable = signs.flags.writeable = False
-    return _Frame(cos, sin, target, layouts, signs)
+    alternating = np.where(np.arange(dim) % 2 == 1, -1.0, 1.0)
+    target.flags.writeable = signs.flags.writeable = alternating.flags.writeable = False
+    abs_norm = max(1.0, float((np.abs(cos) + np.abs(sin)).max()))
+    row_nonzeros = 2 if np.any((cos != 0.0) & (sin != 0.0)) else 1
+    return _Frame(cos, sin, target, layouts, signs, alternating, abs_norm, row_nonzeros)
 
 
 def _layout(columns: np.ndarray, rows: np.ndarray) -> _Layout:
@@ -256,13 +280,6 @@ class _WalkOperator:
         signs = self.frame.signs
         return float(np.abs(signs * signs[columns] * values + values).max())
 
-    def abs_norm(self) -> float:
-        # each row and each column of |U| holds |c| and |s| of one block, or a corner's 1
-        return max(1.0, float((np.abs(self.cos) + np.abs(self.sin)).max()))
-
-    def max_row_nonzeros(self) -> int:
-        return 2 if np.any((self.cos != 0.0) & (self.sin != 0.0)) else 1
-
 
 def _walk_operator(f: QuarterFraction, order: str) -> _WalkOperator:
     if order not in ("CW", "WC"):
@@ -347,12 +364,13 @@ def _radii(
         raise ConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL}"
         )
-    drift = float(np.abs(np.abs(values) - 1.0).max())
+    moduli = np.abs(values)
+    drift = float(np.abs(moduli - 1.0).max())
     if not drift <= UNIMODULAR_TOL:
         raise ConvergenceError(
             f"eigenvalue modulus drifted {drift:.3e} from the unit circle"
         )
-    product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + np.abs(values))
+    product_error = math.sqrt(2.0) * _gamma(k + 2) * (abs_norm + moduli)
     return (1.0 + _gamma(n + 8)) * (residuals / lengths + product_error)
 
 
@@ -407,14 +425,16 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
       fl(B w) - fl(p lambda)), and fl(B w) is the one that gave p.  The
       rows of A and B are rows of U with their entries moved to distinct
       columns, so each holds at most k nonzeros and the fl(M v) bullet
-      holds with ||U+-||_abs.  That is at most op.abs_norm() = ||U||_abs:
+      holds with ||U+-||_abs.  That is at most frame.abs_norm = ||U||_abs:
       a row sum of |U+-| is a row sum of |U|, and column j of |U+-| holds
       columns j and 4q - 1 - j of the first 2q rows of |U|, where
       |U[i, 4q - 1 - j]| = |U[4q - 1 - i, j]| by J-symmetry, so its sum is
       the whole column sum j of |U|.
     - ||x|| and the residual norm are hypot of the norms of their two
       halves; hypot adds one rounding to the relative error of a norm of
-      2q entries, which gamma_{n+8} absorbs.
+      2q entries, which gamma_{n+8} absorbs.  The four halves sit in one
+      buffer, and their column norms take np.linalg.norm's steps, sqrt of
+      the sum of (x.conj() * x).real down each column, in one pass.
     - The exact operator U~ is J-symmetric too, and
       ||U~+- - U+-|| = ||P+- (U~ - U) P+-^T|| <= ||U~ - U||, so the
       OPERATOR_ERROR that spectrum() adds carries over.
@@ -433,18 +453,24 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     mu, w = _eig(a @ b)
     root = np.sqrt(mu.astype(complex))
     lam = root[:, None, :]
-    bw = b @ w
-    partner = bw / lam
-    residuals = np.hypot(
-        np.linalg.norm(a @ partner - w * lam, axis=1),
-        np.linalg.norm(bw - partner * lam, axis=1),
-    )
-    lengths = np.hypot(np.linalg.norm(w, axis=1), np.linalg.norm(partner, axis=1))
-    n = len(op.frame.target) // 2
-    radii = _radii(root, residuals, lengths, op.abs_norm(), op.max_row_nonzeros(), n)
+    # A p - w lam, B w - p lam, w and p; B w is the float that gave p
+    halves = np.empty((4, *w.shape), dtype=complex)
+    bw, partner = halves[1], halves[3]
+    np.matmul(b, w, out=bw)
+    np.divide(bw, lam, out=partner)
+    np.matmul(a, partner, out=halves[0])
+    halves[0] -= w * lam
+    bw -= partner * lam
+    halves[2] = w
+    norms = np.sqrt(np.add.reduce((halves.conj() * halves).real, axis=2))
+    residuals = np.hypot(norms[0], norms[1])
+    lengths = np.hypot(norms[2], norms[3])
+    frame = op.frame
+    n = len(frame.target) // 2
+    radii = _radii(root, residuals, lengths, frame.abs_norm, frame.row_nonzeros, n)
     # per sector: the q roots, then their negatives
-    values = np.stack([root, -root], axis=1).ravel()
-    radii = np.stack([radii, radii], axis=1).ravel()
+    values = np.concatenate([root, -root], axis=1).ravel()
+    radii = np.concatenate([radii, radii], axis=1).ravel()
     args = _principal_args(values)
     order = np.argsort(args, kind="stable")
     return values[order], args[order], radii[order]
@@ -704,15 +730,14 @@ def property_report(f: QuarterFraction) -> PropertyReport:
     cw = _walk_operator(f, "CW")
     spec = _spectrum_of(f, cw)
     columns, values = entries = cw.entries()
-    alternating = np.where(np.arange(4 * f.q) % 2 == 1, -1.0, 1.0)
+    alternating = cw.frame.alternating
     _, mirror = _walk_operator(f.canonical().complement(), "CW").entries()
     r_reflect = float(np.abs(mirror - alternating * alternating[columns] * values).max())
     r_conj = float(np.abs(values.imag).max())
     gauge = cw.gauge_residual(entries)
     gap, gap_lower = eigenvalue_gaps(spec.eigenvalues, spec.radii)
-    targets = np.array([1.0, 1.0j, -1.0, -1.0j])
     r_quartet = float(
-        np.abs(spec.eigenvalues[None, :] - targets[:, None]).min(axis=1).max()
+        np.abs(spec.eigenvalues[None, :] - _QUARTET[:, None]).min(axis=1).max()
     )
     det_residual = float(abs(np.prod(spec.eigenvalues) + 1.0))
     return PropertyReport(
@@ -746,6 +771,7 @@ def gauge_check(f: QuarterFraction) -> float:
 
 def butterfly_fractions(q_max: int) -> Iterator[QuarterFraction]:
     """All quarter fractions with q <= q_max in deterministic (q, p) order."""
+    q_max = _integer(q_max, "q_max")
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     for q in range(1, q_max + 1):

@@ -33,8 +33,8 @@ from typing import Callable, Iterator, Literal
 
 import numpy as np
 
-from .coins import CoinSchedule, _integer
-from .errors import EmptySupportError, NumericalDriftError
+from .coins import CoinSchedule
+from .errors import EmptySupportError, NumericalDriftError, _integer
 
 __all__ = [
     "WalkOrder",

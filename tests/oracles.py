@@ -35,6 +35,7 @@ from iqwalk import (
     spectrum,
     trig_pair_exact,
 )
+from iqwalk import spectral
 from iqwalk.exact_trig import quarter_trig_table
 from iqwalk.walk import DRIFT_LIMIT
 
@@ -317,8 +318,9 @@ def lifted_walk_eigenpairs(op):
     (+-sqrt(mu), x = (w, +-B w / sqrt(mu))) is lifted to the 4q-vector
     (x, +-K x).  The residuals are taken with walk_apply on the lifted
     vectors, and the radii follow the formula of iqwalk.spectral._radii
-    with n = 4q, k = op.max_row_nonzeros() and ||U||_abs = op.abs_norm():
-    the lifted reference for spectrum()'s sector certificate.
+    with n = 4q, k = walk_max_row_nonzeros(op) and ||U||_abs =
+    walk_abs_norm(op): the lifted reference for spectrum()'s sector
+    certificate.
     """
     columns, entries = op.entries()
     dim = len(op.frame.target)
@@ -343,7 +345,75 @@ def lifted_walk_eigenpairs(op):
         vectors[even, plus] = vectors[even, minus] = w
         vectors[odd, plus], vectors[odd, minus] = partner, -partner
     vectors[half:] = vectors[:half][::-1] * np.repeat([1.0, -1.0], half)
-    return _certify(values, vectors, walk_apply(op, vectors), op.abs_norm(), op.max_row_nonzeros())
+    return _certify(values, vectors, walk_apply(op, vectors), walk_abs_norm(op), walk_max_row_nonzeros(op))
+
+
+def walk_abs_norm(op) -> float:
+    """||U||_abs from the coins of this one fraction, the reference for _Frame.abs_norm."""
+    # each row and each column of |U| holds |c| and |s| of one block, or a corner's 1
+    return max(1.0, float((np.abs(op.cos) + np.abs(op.sin)).max()))
+
+
+def walk_max_row_nonzeros(op) -> int:
+    """The most nonzeros in a row of U, from this one fraction's coins (_Frame.row_nonzeros)."""
+    return 2 if np.any((op.cos != 0.0) & (op.sin != 0.0)) else 1
+
+
+def four_norm_walk_eigenvalues(op):
+    """(values, args, radii) of spectral._walk_eigenvalues, by four separate norms.
+
+    The sector certificate as it was written before its one-pass norms:
+    temporaries for every half, one np.linalg.norm call per half, np.stack
+    for the pairs, and ||U||_abs and k taken from this fraction's coins.
+    Gates as in _radii; spectrum() must match it bit for bit.
+    """
+    blocks = op.sector_blocks()
+    a, b = blocks[:, 0], blocks[:, 1]
+    mu, w = np.linalg.eig(a @ b)
+    root = np.sqrt(mu.astype(complex))
+    lam = root[:, None, :]
+    bw = b @ w
+    partner = bw / lam
+    residuals = np.hypot(
+        np.linalg.norm(a @ partner - w * lam, axis=1),
+        np.linalg.norm(bw - partner * lam, axis=1),
+    )
+    lengths = np.hypot(np.linalg.norm(w, axis=1), np.linalg.norm(partner, axis=1))
+    assert residuals.max() <= 1e-9
+    assert np.abs(np.abs(root) - 1.0).max() <= 1e-12
+    k, n = walk_max_row_nonzeros(op), len(op.frame.target) // 2
+    product_error = math.sqrt(2.0) * _gamma(k + 2) * (walk_abs_norm(op) + np.abs(root))
+    radii = (1.0 + _gamma(n + 8)) * (residuals / lengths + product_error)
+    values = np.stack([root, -root], axis=1).ravel()
+    radii = np.stack([radii, radii], axis=1).ravel()
+    args = np.angle(values)
+    args = np.where(args == -np.pi, np.pi, args)
+    order = np.argsort(args, kind="stable")
+    return values[order], args[order], radii[order]
+
+
+def property_residuals(f) -> dict[str, float]:
+    """property_report's residuals, from the four-norm certificate and per-call constants.
+
+    T = diag((-1)^i) and the quartet targets are built here on every call,
+    as property_report built them before the frame and the module held them.
+    """
+    cw = spectral._walk_operator(f, "CW")
+    values, _, radii = four_norm_walk_eigenvalues(cw)
+    columns, entries = cw.entries()
+    t = np.where(np.arange(4 * f.q) % 2 == 1, -1.0, 1.0)
+    _, mirror = spectral._walk_operator(f.canonical().complement(), "CW").entries()
+    gap, gap_lower = all_pairs_eigenvalue_gaps(values, radii + spectral.OPERATOR_ERROR)
+    targets = np.array([1.0, 1.0j, -1.0, -1.0j])
+    return {
+        "alpha_reflection": float(np.abs(mirror - t * t[columns] * entries).max()),
+        "conjugation": float(np.abs(entries.imag).max()),
+        "negation": cw.gauge_residual(),
+        "simple_gap": gap,
+        "gap_lower_bound": gap_lower,
+        "quartet": float(np.abs(values[None, :] - targets[:, None]).min(axis=1).max()),
+        "det_residual": float(abs(np.prod(values) + 1.0)),
+    }
 
 
 def wrap_args(args: np.ndarray) -> np.ndarray:

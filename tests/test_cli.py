@@ -82,7 +82,10 @@ class TestParseAlpha:
         with pytest.raises(UsageError, match=message):
             parse_alpha(text)
 
-    @pytest.mark.parametrize("text", ["1e-400", "1e-308", f"1/{4 * 10**320}", f"3/{10**310}"])
+    # 0.001e-305 is 10**-308, past the digit-count test (3 + 305 - 1 < 308)
+    @pytest.mark.parametrize(
+        "text", ["1e-400", "1e-308", f"1/{4 * 10**320}", f"3/{10**310}", "0.001e-305"]
+    )
     def test_rejects_a_denominator_beyond_double_trig(self, text):
         with pytest.raises(UsageError, match=r"denominator above 2\*\*1022"):
             parse_alpha(text)
@@ -136,12 +139,35 @@ class TestParseAlpha:
             ("1.7976931348623157e308", Fraction(17976931348623157 * 10**292)),
             ("0.6180339887498948482045868343656381177203091798",
              Fraction(6180339887498948482045868343656381177203091798, 10**46)),
+            ("1e4300", Fraction(10**4300)),  # the largest exponent read
+            ("1000e-310", Fraction(1, 10**307)),  # 4 significant digits: 0 + 310 - 4 < 308
         ],
     )
     def test_ascii_forms_still_parse(self, text, value):
         parsed = parse_alpha(text)
         assert parsed.enclosure.midpoint == value
         assert parsed.source_text == text.strip()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the denominator is known above 2**1022 from the digit counts alone
+            ("1e-1000000000", r"denominator above 2\*\*1022"),
+            ("0.5e-999999999", r"denominator above 2\*\*1022"),
+            ("1e4301", "decimal exponent above 4300"),
+            ("2.5e300000", "decimal exponent above 4300"),
+            ("-1e-999999999", "positive"),
+            ("0e-999999999", "positive"),
+            ("-1e999999999", "positive"),
+        ],
+    )
+    def test_exponent_is_bounded_before_the_power_is_built(self, text, message, monkeypatch):
+        def explode(*_):
+            raise AssertionError("Fraction(text) ran")
+
+        monkeypatch.setattr(cli, "Fraction", explode)
+        with pytest.raises(UsageError, match=message):
+            parse_alpha(text)
 
 
 class TestParseArgs:
@@ -206,6 +232,8 @@ class TestParseArgs:
             (["approximate", "--alpha", "1e400"], "beyond double range"),
             (["approximate", "--alpha", "1.8e308"], "beyond double range"),
             (["evolve", "--alpha", ""], "cannot parse alpha ''"),
+            (["spectrum", "--alpha", f"{10**400 + 1}/4"], "beyond double range"),
+            (["evolve", "--alpha", "1e4301"], "exponent above 4300"),
         ],
     )
     def test_usage_errors(self, argv, message):
@@ -332,6 +360,21 @@ class TestSpectrumCommand:
         for entry in payload["eigenvalues"]:
             assert entry["re"] ** 2 + entry["im"] ** 2 == pytest.approx(1.0)
         assert payload["meta"]["tool"].startswith("iqwalk ")
+
+    def test_alpha_beyond_double_range_exits_one(self, capsys, _output_dir):
+        # an odd numerator of 401 digits over 4: a quarter fraction whose
+        # alpha the payload cannot hold as a float
+        alpha = f"{10**400 + 1}/4"
+        code, out, err = run(["spectrum", "--alpha", alpha], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("iqwalk: ") and err.count("\n") == 1
+        assert "beyond double range" in err and "Traceback" not in err
+        assert list(_output_dir.iterdir()) == []
+        # the commands that write no float alpha still run on it
+        for command in ("properties", "duality-check"):
+            code, out, err = run([command, "--alpha", alpha], capsys)
+            assert (code, err) == (0, ""), command
+            assert json.loads(open(out.strip()).read())["p"] == 10**400 + 1
 
 
 class TestButterflyCommand:

@@ -54,6 +54,16 @@ class TestQuarterFraction:
         with pytest.raises(ValueError):
             QuarterFraction(-1, 3)
 
+    @pytest.mark.parametrize("p, q", [(True, 5), (3, True), (1, False), (3.0, 5), (3, 5.0)])
+    def test_rejects_bools_and_floats(self, p, q):
+        with pytest.raises(TypeError, match="must be an integer"):
+            QuarterFraction(p, q)
+
+    def test_numpy_integers_become_ints(self):
+        f = QuarterFraction(np.int64(3), np.int32(5))
+        assert (type(f.p), type(f.q)) == (int, int)
+        assert f == QuarterFraction(3, 5) and hash(f) == hash(QuarterFraction(3, 5))
+
     def test_value_and_modulus(self):
         f = QuarterFraction(1, 3)
         assert f.alpha == Fraction(1, 12)

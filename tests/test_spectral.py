@@ -32,13 +32,17 @@ from oracles import (
     build_trig_loop,
     circular_arg_distance_loop,
     complex_eigenpairs,
+    four_norm_walk_eigenvalues,
     lifted_walk_eigenpairs,
     measured_symmetry_residuals,
     mp_residuals,
     mp_walk_operator,
     parity_split_eigenpairs,
     planted_reflection_fault,
+    property_residuals,
+    walk_abs_norm,
     walk_apply,
+    walk_max_row_nonzeros,
     wrap_args,
 )
 
@@ -517,8 +521,8 @@ class TestBandedGaps:
 
 def product_error(op, values):
     # sqrt(2) gamma_{k+2} (||U||_abs + |lambda|), the fl(M v) term of the radii (_radii)
-    k = op.max_row_nonzeros()
-    return math.sqrt(2.0) * spectral._gamma(k + 2) * (op.abs_norm() + np.abs(values))
+    k = op.frame.row_nonzeros
+    return math.sqrt(2.0) * spectral._gamma(k + 2) * (op.frame.abs_norm + np.abs(values))
 
 
 class TestStructuredCertificate:
@@ -632,14 +636,83 @@ class TestStructuredCertificate:
                 # each is within sqrt(2) gamma_{k+2} (||U||_abs + |lambda|) ||v|| of
                 # the exact residual, up to relative roundings (_radii)
                 k = int(np.count_nonzero(m, axis=1).max())
-                assert op.max_row_nonzeros() == k
+                assert op.frame.row_nonzeros == k
                 magnitudes = np.abs(m)
                 dense_norm = math.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max())
-                assert abs(op.abs_norm() - dense_norm) <= 2.0**-52 * dense_norm
+                assert abs(op.frame.abs_norm - dense_norm) <= 2.0**-52 * dense_norm
                 bound = 2.0 * product_error(op, values) * np.linalg.norm(
                     vectors, axis=0
                 ) + spectral._gamma(len(m) + 8) * (structured + dense)
                 assert np.all(np.abs(structured - dense) <= bound), f"{f} {order}"
+
+
+class TestPerFractionWork:
+    """spectrum() and property_report do per-fraction work only, and their
+    results are bitwise those of the per-fraction references (oracles)."""
+
+    def test_frame_norms_are_the_per_fraction_ones_up_to_q80(self):
+        count = 0
+        for f in butterfly_fractions(80):
+            frame = spectral._frame(f.q)
+            assert frame.row_nonzeros == (2 if f.q > 1 else 1)
+            for order in ("CW", "WC"):
+                op = spectral._walk_operator(f, order)
+                assert op.frame is frame
+                assert frame.abs_norm.hex() == walk_abs_norm(op).hex(), f"{f} {order}"
+                assert frame.row_nonzeros == walk_max_row_nonzeros(op), f"{f} {order}"
+            count += 1
+        assert count == 5258
+
+    def test_spectrum_is_the_four_norm_certificate_up_to_q50(self):
+        count = 0
+        for f in butterfly_fractions(50):
+            for order in ("CW", "WC"):
+                spec = spectrum(f, order)
+                values, args, radii = four_norm_walk_eigenvalues(spectral._walk_operator(f, order))
+                assert spec.eigenvalues.tobytes() == values.tobytes(), f"{f} {order}"
+                assert spec.args.tobytes() == args.tobytes(), f"{f} {order}"
+                assert spec.radii.tobytes() == (radii + OPERATOR_ERROR).tobytes(), f"{f} {order}"
+                count += 1
+        assert count == 4148
+
+    def test_property_report_is_the_reference_up_to_q30(self):
+        # residuals bitwise, and each verdict by its rule (PropertyReport)
+        for f in butterfly_fractions(30):
+            report = property_report(f)
+            ref = property_residuals(f)
+            got = {
+                "alpha_reflection": report.alpha_reflection.residual,
+                "conjugation": report.conjugation.residual,
+                "negation": report.negation.residual,
+                "simple_gap": report.simplicity.residual,
+                "gap_lower_bound": report.gap_lower_bound,
+                "quartet": report.quartet.residual,
+                "det_residual": report.det_residual,
+            }
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref.items()}, f"{f}"
+            assert (report.simple_gap, report.gauge_residual) == (got["simple_gap"], got["negation"])
+            assert [
+                report.alpha_reflection.passed,
+                report.conjugation.passed,
+                report.negation.passed,
+                report.simplicity.passed,
+                report.quartet.passed,
+                report.det_ok,
+            ] == [
+                ref["alpha_reflection"] == 0.0,
+                ref["conjugation"] == 0.0,
+                ref["negation"] == 0.0,
+                ref["gap_lower_bound"] > 0.0,
+                ref["quartet"] <= RESIDUAL_TOL,
+                ref["det_residual"] <= spectral.DET_TOL,
+            ], f"{f}"
+
+    def test_frame_constants_are_read_only(self):
+        frame = spectral._frame(5)
+        assert frame.alternating.tolist() == [(-1.0) ** i for i in range(20)]
+        with pytest.raises(ValueError, match="read-only"):
+            frame.alternating[0] = 0.0
+        assert spectral._QUARTET.tolist() == QUARTET.tolist()
 
 
 class TestResidualDisksAgainstOracle:
@@ -877,6 +950,11 @@ class TestButterfly:
     def test_rejects_bad_q_max(self):
         with pytest.raises(ValueError, match="q_max"):
             list(butterfly_fractions(0))
+
+    @pytest.mark.parametrize("q_max", [True, 2.0])
+    def test_q_max_must_be_an_integer(self, q_max):
+        with pytest.raises(TypeError, match="q_max must be an integer"):
+            list(butterfly_fractions(q_max))
 
     def test_spectra_follow_the_fraction_order(self):
         specs = list(butterfly(1))
