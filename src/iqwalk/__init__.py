@@ -24,7 +24,6 @@ from .coins import (
     RandomSchedule,
     RotationalSchedule,
     haar_coin,
-    reflecting_coin,
     rotation_coin,
     unitarity_defect,
 )
@@ -72,9 +71,7 @@ from .spectral import (
     build_matrices,
     butterfly,
     butterfly_fractions,
-    circular_arg_distance,
     eigenvalue_gaps,
-    gauge_check,
     property_report,
     spectrum,
 )
@@ -122,7 +119,6 @@ __all__ = [
     "RandomSchedule",
     "CustomSchedule",
     "rotation_coin",
-    "reflecting_coin",
     "haar_coin",
     "unitarity_defect",
     # walk evolution
@@ -152,9 +148,7 @@ __all__ = [
     "build_matrices",
     "eigenvalue_gaps",
     "spectrum",
-    "circular_arg_distance",
     "property_report",
-    "gauge_check",
     "butterfly_fractions",
     "butterfly",
     # duality

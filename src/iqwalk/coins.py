@@ -32,7 +32,6 @@ __all__ = [
     "RandomSchedule",
     "CustomSchedule",
     "rotation_coin",
-    "reflecting_coin",
     "unitarity_defect",
     "haar_coin",
 ]
@@ -57,12 +56,6 @@ def rotation_coin(cos_value: float, sin_value: float) -> np.ndarray:
     return np.array(
         [[cos_value, -sin_value], [sin_value, cos_value]], dtype=complex
     )
-
-
-def reflecting_coin(phase: float = 0.0) -> np.ndarray:
-    """Zero-diagonal unitary coin; acts as a perfect barrier in the walk."""
-    u = complex(math.cos(phase), math.sin(phase))
-    return np.array([[0.0, -u], [np.conj(u), 0.0]], dtype=complex)
 
 
 def haar_coin(seed: int, n: int) -> np.ndarray:
@@ -207,6 +200,7 @@ class CoinSchedule:
 
     def coin_at(self, n: int) -> np.ndarray:
         """2x2 unitary coin at site n (fresh array, safe to mutate)."""
+        n = _integer(n, "site")
         return np.array(self.coin_entries(n, n)).reshape(2, 2)
 
     def coin_entries(
@@ -279,6 +273,7 @@ class RotationalSchedule(CoinSchedule):
 
     def angle_cos_sin(self, n: int) -> tuple[float, float]:
         """(cos, sin) of the coin angle at site n."""
+        n = _integer(n, "site")
         if isinstance(self.alpha, QuarterFraction):
             return trig_pair_exact(self.alpha, n)
         if isinstance(self.alpha, Fraction):

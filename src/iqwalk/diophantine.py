@@ -21,6 +21,7 @@ from .errors import (
     NoApproximantFoundError,
     PrecisionExhaustedError,
     RationalInputError,
+    _integer,
 )
 from .exact_trig import QuarterFraction
 from .precision import RealEnclosure
@@ -81,8 +82,10 @@ def continued_fraction(alpha: RealEnclosure, max_depth: int = 64) -> ContinuedFr
     Stops early (without error) once the enclosure can no longer decide
     the next quotient; terminates exactly for rational point inputs.
     Raises PrecisionExhaustedError only when not even the integer part
-    is decided, and ValueError for non-positive alpha.
+    is decided, and ValueError for non-positive alpha.  max_depth must
+    be an integer.
     """
+    max_depth = _integer(max_depth, "max_depth")
     if alpha.hi <= 0:
         raise ValueError("continued fraction input must be positive")
     if alpha.lo <= 0:
@@ -169,8 +172,9 @@ def quarter_approximants(
     Fewer than `count` hits within q_max is reported as a short list;
     zero hits raises NoApproximantFoundError.  No step leaves integer
     arithmetic, so an enclosure beyond double range is searched like
-    any other and raises no ValueError.
+    any other and raises no ValueError.  count and q_max must be integers.
     """
+    count, q_max = _integer(count, "count"), _integer(q_max, "q_max")
     if count < 1:
         raise ValueError("count must be at least 1")
     if q_max < 1:

@@ -128,8 +128,10 @@ def half_pi_cos_sin(k: int, q: int) -> tuple[float, float]:
 
     Exact cases: k mod 2q == 0 gives (+-1.0, 0.0) and k mod 2q == q
     gives (0.0, +-1.0), as literal floats with no rounding residue.
-    q must lie in [1, TRIG_Q_MAX].
+    k and q must be integers (floats and bools raise TypeError), and q
+    must lie in [1, TRIG_Q_MAX].
     """
+    k, q = _integer(k, "k"), _integer(q, "q")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     if q > TRIG_Q_MAX:
@@ -216,8 +218,11 @@ def fraction_cos_sin(turns: Fraction) -> tuple[float, float]:
 
     Works for any denominator; quadrant boundaries are exact, so rational
     inverse periods whose denominator is not a multiple of 4 (which never
-    produce reflecting coins) still evaluate consistently.
+    produce reflecting coins) still evaluate consistently.  turns must be
+    a Fraction; anything else raises TypeError.
     """
+    if not isinstance(turns, Fraction):
+        raise TypeError(f"turns must be a Fraction, got {turns!r}")
     # 2*pi*(a/b) = (4a) * pi/(2b)
     return half_pi_cos_sin(4 * turns.numerator, turns.denominator)
 
@@ -227,6 +232,6 @@ def trig_pair_exact(f: QuarterFraction, n: int) -> tuple[float, float]:
 
     The only rounding is the final in-quadrant cos/sin evaluation; at
     reflecting sites (p*n == q mod 2q) the cosine is bit-zero and the
-    sine is exactly +-1.0.
+    sine is exactly +-1.0.  n must be an integer.
     """
-    return half_pi_cos_sin(f.p * n, f.q)
+    return half_pi_cos_sin(f.p * _integer(n, "site"), f.q)

@@ -21,7 +21,7 @@ import numpy as np
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, to_rational
 
-from .errors import IndecisiveError
+from .errors import IndecisiveError, _integer
 
 __all__ = [
     "RealEnclosure",
@@ -50,7 +50,8 @@ class RealEnclosure:
 
     A zero-width enclosure represents an exactly rational value.  The
     enclosure, not any floating-point image of it, is the ground truth
-    for every exact comparison in this package.
+    for every exact comparison in this package, so the ends must be ints
+    or Fractions (stored as Fractions); floats and bools raise TypeError.
     """
 
     lo: Fraction
@@ -58,6 +59,11 @@ class RealEnclosure:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        for end in ("lo", "hi"):
+            value = getattr(self, end)
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise TypeError(f"enclosure end {end} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, end, Fraction(value))
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
 
@@ -151,6 +157,7 @@ class RealEnclosure:
         at 40 digits (w near 3.4e-49) the terms beside the 1/2 ulp stay
         below 2**-60 for |n| up to 10**29, and grow linearly beyond.
         """
+        n = _integer(n, "site")
         dps, x = self._trig_midpoint
         with mp.workdps(dps):
             c, s = mpmath.cos_sin(2 * mp.pi * x * n)
@@ -234,7 +241,6 @@ class RealEnclosure:
 
     @classmethod
     def from_fraction(cls, value: Fraction, label: str | None = None) -> "RealEnclosure":
-        value = Fraction(value)
         return cls(value, value, label)
 
     @classmethod
@@ -249,6 +255,7 @@ class RealEnclosure:
         modelling "correct to the digits shown".
         """
         value = Fraction(text)
+        uncertainty_last_place = _integer(uncertainty_last_place, "uncertainty_last_place")
         if uncertainty_last_place < 0:
             raise ValueError("uncertainty must be non-negative")
         if uncertainty_last_place == 0:

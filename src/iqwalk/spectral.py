@@ -35,10 +35,8 @@ __all__ = [
     "eigenvalue_gaps",
     "spectrum",
     "property_report",
-    "gauge_check",
     "butterfly",
     "butterfly_fractions",
-    "circular_arg_distance",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -180,7 +178,7 @@ def _layout(columns: np.ndarray, rows: np.ndarray) -> _Layout:
       So J U J = U whenever cos[::-1] == cos and sin[::-1] == -sin, which
       quarter_trig_table proves for every operator of this q.
     - the parity zero pattern: every entry of an E row lies in an O column
-      and vice versa, so U vanishes on E x E and O x O (gauge_check).  J
+      and vice versa, so U vanishes on E x E and O x O (gauge_residual).  J
       keeps the parity of a site, so the same holds for the folded columns.
     - the fill: each written entry of rows 0 .. 2q - 1 has its own slot.
       Two entries share a slot only at a corner row, whose second entry
@@ -271,12 +269,18 @@ class _WalkOperator:
         blocks[:, layout.slots] = self.source()[layout.picks] * layout.signs
         return blocks.reshape(2, 2, q, q)
 
-    def gauge_residual(self, entries: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-        """Max of |G U G^-1 + U| over the entries of U; every other entry is 0.
+    def gauge_residual(self, entries: tuple[np.ndarray, np.ndarray]) -> float:
+        """Max of |G U G^-1 + U| over the entries of U, for the parity gauge
+        G = diag((-1)^n); every other entry is 0.
 
-        entries is this operator's entries(), for a caller that holds them.
+        entries is this operator's entries().  U only couples neighbouring
+        sites, so the gauge flip of every nonzero entry is exact and the
+        value must be 0.0 with no tolerance: this is the zero pattern
+        _walk_eigenvalues splits on.  It is evaluated on the two entries of
+        each operator row, in O(n); the signs are (-1)^(n + q), and a global
+        sign leaves G U G^-1 unchanged.
         """
-        columns, values = self.entries() if entries is None else entries
+        columns, values = entries
         signs = self.frame.signs
         return float(np.abs(signs * signs[columns] * values + values).max())
 
@@ -407,7 +411,7 @@ def _walk_eigenvalues(op: _WalkOperator) -> tuple[np.ndarray, np.ndarray, np.nda
     Site parity splits the indices into E, those of the parity of the
     corner site -q, and O, the rest; J keeps the parity of a site.  A walk
     operator only couples neighbouring sites, so it is exactly zero on
-    E x E and O x O: the parity gauge identity G U G^-1 = -U (gauge_check)
+    E x E and O x O: the parity gauge identity G U G^-1 = -U (gauge_residual)
     is this zero pattern.  sector_blocks writes every nonzero of U's first
     2q rows to its own slot, so A+- and B+- hold U's floats with no
     rounded sum, and the zero pattern proven by _layout makes U+- =
@@ -619,29 +623,6 @@ def eigenvalue_gaps(values: np.ndarray, radii: np.ndarray) -> tuple[float, float
         width *= 2
 
 
-def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max pointwise circular gap between two sorted argument multisets.
-
-    Sorted principal arguments of nearly-equal multisets can differ by
-    a cyclic rotation when eigenvalues sit within rounding of the
-    -pi/pi seam; a whole cluster may land on either side, so the best
-    alignment over every cyclic shift is taken.  All n shifts are
-    compared at once through an n x n gather, O(n^2) in time and memory.
-    property_report proves its symmetries without it; it compares the
-    spectra of different solves, as the butterfly and factor-order tests do.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if len(a) != len(b):
-        raise ValueError("argument lists differ in length")
-    n = len(b)
-    # row r is np.roll(b, r)
-    shifted = b[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-    d = np.abs(a - shifted)
-    gaps = np.minimum(d, 2.0 * np.pi - d).max(axis=1, initial=-math.inf)
-    # fmin skips a NaN gap, as a scan keeping the first strictly smaller one would
-    return float(np.fmin.reduce(gaps, initial=math.inf))
-
-
 @dataclass(frozen=True)
 class PropertyCheck:
     """One verdict of a PropertyReport and the residual it was decided on.
@@ -666,7 +647,7 @@ class PropertyReport:
     - alpha_reflection by U(1 - alpha) = T U(alpha) T, T = diag((-1)^i);
     - conjugation by U being real;
     - negation by the parity gauge G U G^-1 = -U; its residual is
-      gauge_residual, gauge_check's value on the same operator build.
+      gauge_residual, read off the same operator build.
     Two are decided on the spectrum of that operator, spectrum.  The
     simplicity check is certified: it passes if and only if
     gap_lower_bound, the certified lower bound on the exact smallest gap
@@ -723,7 +704,7 @@ def property_report(f: QuarterFraction) -> PropertyReport:
     - conjugation: U is a real float64 matrix, and the exact coins are
       real rotations, so the characteristic polynomial is real.  The
       residual is the largest imaginary part of U's entries.
-    - negation: G U G^-1 = -U with residual gauge_check's, exactly 0.0.
+    - negation: G U G^-1 = -U, its residual exactly 0.0 (_WalkOperator.gauge_residual).
     Simplicity is certified, and the quartet and the determinant are
     measured, on the spectrum (PropertyReport).
     """
@@ -755,18 +736,6 @@ def property_report(f: QuarterFraction) -> PropertyReport:
         gauge_residual=gauge,
         spectrum=spec,
     )
-
-
-def gauge_check(f: QuarterFraction) -> float:
-    """Max entry of |G (CW) G^-1 + CW| for the parity gauge G = diag((-1)^n).
-
-    The operator only couples neighbouring sites, so the gauge flip of
-    every nonzero entry is exact and the returned value must be 0.0
-    with no tolerance.  This is the zero pattern _walk_eigenvalues splits on.
-    It is evaluated on the two entries of each operator row, in O(n); the
-    signs are (-1)^(n + q), and a global sign leaves G U G^-1 unchanged.
-    """
-    return _walk_operator(f, "CW").gauge_residual()
 
 
 def butterfly_fractions(q_max: int) -> Iterator[QuarterFraction]:

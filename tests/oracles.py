@@ -29,7 +29,6 @@ from iqwalk import (
     NumericalDriftError,
     RingState,
     WalkerState,
-    circular_arg_distance,
     moment_stats,
     ring_shift,
     spectrum,
@@ -408,7 +407,7 @@ def property_residuals(f) -> dict[str, float]:
     return {
         "alpha_reflection": float(np.abs(mirror - t * t[columns] * entries).max()),
         "conjugation": float(np.abs(entries.imag).max()),
-        "negation": cw.gauge_residual(),
+        "negation": cw.gauge_residual((columns, entries)),
         "simple_gap": gap,
         "gap_lower_bound": gap_lower,
         "quartet": float(np.abs(values[None, :] - targets[:, None]).min(axis=1).max()),
@@ -459,6 +458,40 @@ def planted_reflection_fault(build, f, site=3, angle=1e-11):
         return dataclasses.replace(op, cos=cos, sin=sin)
 
     return faulty
+
+
+def dense_gauge_residual(m: np.ndarray) -> float:
+    """Max of |G M G^-1 + M| on a dense 4q x 4q operator M, G = diag((-1)^n).
+
+    n is the site of each basis index, (-q; R), (-q + 1; L), (-q + 1; R),
+    ..., (q; L); 0.0 means G M G^-1 == -M bitwise, up to the sign of zero.
+    """
+    sites = (np.arange(len(m)) + 1) // 2 - len(m) // 4
+    g = np.where(sites % 2 == 0, 1.0, -1.0)
+    return float(np.abs(g[:, None] * m * g[None, :] + m).max())
+
+
+def circular_arg_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max pointwise circular gap between two sorted argument multisets.
+
+    Sorted principal arguments of nearly-equal multisets can differ by
+    a cyclic rotation when eigenvalues sit within rounding of the
+    -pi/pi seam; a whole cluster may land on either side, so the best
+    alignment over every cyclic shift is taken.  All n shifts are
+    compared at once through an n x n gather, O(n^2) in time and memory.
+    It compares the spectra of different solves, as the butterfly and
+    factor-order tests do; property_report proves its symmetries without it.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if len(a) != len(b):
+        raise ValueError("argument lists differ in length")
+    n = len(b)
+    # row r is np.roll(b, r)
+    shifted = b[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    d = np.abs(a - shifted)
+    gaps = np.minimum(d, 2.0 * np.pi - d).max(axis=1, initial=-math.inf)
+    # fmin skips a NaN gap, as a scan keeping the first strictly smaller one would
+    return float(np.fmin.reduce(gaps, initial=math.inf))
 
 
 def circular_arg_distance_loop(a, b) -> float:
@@ -587,6 +620,12 @@ def enclosure_cos_sin_uncached(enclosure, n):
         x = mp.mpf(mid.numerator) / mid.denominator
         c, s = mpmath.cos_sin(2 * mp.pi * x * n)
         return float(c), float(s)
+
+
+def reflecting_coin(phase: float = 0.0) -> np.ndarray:
+    """Zero-diagonal unitary coin; acts as a perfect barrier in the walk."""
+    u = complex(math.cos(phase), math.sin(phase))
+    return np.array([[0.0, -u], [np.conj(u), 0.0]], dtype=complex)
 
 
 class _ExtendCopySchedule:

@@ -17,12 +17,11 @@ from iqwalk import (
     QuarterFraction,
     RandomSchedule,
     RotationalSchedule,
+    build_matrices,
     butterfly,
     butterfly_fractions,
-    circular_arg_distance,
     distribution,
     evolve,
-    gauge_check,
     golden_mean,
     initial_state,
     leaked_probability,
@@ -31,7 +30,6 @@ from iqwalk import (
     property_report,
     quarter_approximants,
     recurrence_series,
-    reflecting_coin,
     spectrum,
     sqrt2_minus_one,
     step,
@@ -39,7 +37,7 @@ from iqwalk import (
     verify_duality,
 )
 from iqwalk.walk import DEFAULT_SPINOR
-from oracles import mp_distribution
+from oracles import circular_arg_distance, dense_gauge_residual, mp_distribution, reflecting_coin
 
 DYADIC_SPINOR = (0.5 + 0.5j, 0.5 - 0.5j)
 
@@ -145,7 +143,11 @@ def test_05_factor_orders_are_isospectral(capsys):
 def test_06_parity_gauge_is_exact(capsys):
     with criterion(capsys, 6, "parity gauge flips the operator exactly, q <= 20"):
         for f in butterfly_fractions(20):
-            assert gauge_check(f) == 0.0, f"{f}"
+            # G (C S) G^-1 == -(C S) bitwise on the dense factors, both orders
+            coin, shift = build_matrices(f)
+            dense = dense_gauge_residual(coin @ shift)
+            assert dense == dense_gauge_residual(shift @ coin) == 0.0, f"{f}"
+            assert property_report(f).gauge_residual == dense, f"{f}"
 
 
 def test_07_ring_duality(capsys):

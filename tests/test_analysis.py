@@ -23,7 +23,6 @@ from iqwalk import (
     origin_probability,
     pi_half,
     recurrence_series,
-    reflecting_coin,
     spread_exponent,
     support,
 )
@@ -35,6 +34,7 @@ from oracles import (
     mp_origin_series,
     near_barriers_loop,
     recurrence_series_loop,
+    reflecting_coin,
     spread_exponent_loop,
 )
 from test_walk import walk_cases

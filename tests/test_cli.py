@@ -535,11 +535,7 @@ class TestPropertiesCommand:
             shapes.append(m.shape)
             return real_eig(m)
 
-        def no_arg_distance(a, b):
-            raise AssertionError("the symmetries are proven, not measured")
-
         monkeypatch.setattr(np.linalg, "eig", spy)
-        monkeypatch.setattr(spectral, "circular_arg_distance", no_arg_distance)
         code, _, _ = run(["properties", "--alpha", "3/20"], capsys)
         assert code == 0
         assert shapes == [(2, 5, 5)]

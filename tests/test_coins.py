@@ -20,13 +20,13 @@ from iqwalk import (
     golden_mean,
     haar_coin,
     pi_half,
-    reflecting_coin,
     rotation_coin,
     trig_pair_exact,
     unitarity_defect,
 )
 from iqwalk import coins, exact_trig
 from iqwalk.walk import DEFAULT_SPINOR
+from oracles import reflecting_coin
 
 UNIT = 1e-12
 
@@ -177,6 +177,16 @@ class TestRotationalSchedule:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             RotationalSchedule(0.25)
+
+    @pytest.mark.parametrize("alpha", [QuarterFraction(1, 3), Fraction(1, 3), pi_half(40)])
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5])
+    def test_site_must_be_an_integer(self, alpha, n):
+        # coin_at(True) used to build site 1, and an enclosure's angle took 2.5
+        schedule = RotationalSchedule(alpha)
+        with pytest.raises(TypeError, match="site must be an integer"):
+            schedule.coin_at(n)
+        with pytest.raises(TypeError, match="site must be an integer"):
+            schedule.angle_cos_sin(n)
 
     def test_irrational_matches_enclosure_trig(self):
         enc = pi_half(40)

@@ -98,6 +98,12 @@ class TestContinuedFraction:
         with pytest.raises(ValueError):
             continued_fraction(golden_mean(40), max_depth=-1)
 
+    @pytest.mark.parametrize("depth", [2.5, True, 3.0])
+    def test_max_depth_must_be_an_integer(self, depth):
+        # max_depth=2.5 used to give 3 quotients
+        with pytest.raises(TypeError, match="max_depth must be an integer"):
+            continued_fraction(golden_mean(40), max_depth=depth)
+
     def test_records_source_precision(self):
         g = golden_mean(40)
         assert continued_fraction(g).source_precision == g.certified_digits
@@ -296,3 +302,10 @@ class TestQuarterApproximants:
             quarter_approximants(golden_mean(40), count=0)
         with pytest.raises(ValueError, match="q_max"):
             quarter_approximants(golden_mean(40), q_max=0)
+
+    @pytest.mark.parametrize("keyword", ["count", "q_max"])
+    @pytest.mark.parametrize("value", [2.5, True, 3.0])
+    def test_count_and_q_max_must_be_integers(self, keyword, value):
+        # count=2.5 used to return 3 approximants, and count=True 1
+        with pytest.raises(TypeError, match=f"{keyword} must be an integer"):
+            quarter_approximants(golden_mean(40), **{keyword: value})

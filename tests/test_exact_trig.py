@@ -170,6 +170,31 @@ class TestFractionTurns:
             half_pi_cos_sin(1, 0)
 
 
+class TestIntegerArguments:
+    """k, q and the site are integers: a float, NaN or bool raises TypeError
+    where it used to give NaN, a boundary value or an IndexError."""
+
+    @pytest.mark.parametrize("k, q", [(float("nan"), 3), (1, 2.5), (3, True), (True, 3), (1.0, 3)])
+    def test_half_pi_cos_sin(self, k, q):
+        with pytest.raises(TypeError, match="must be an integer"):
+            half_pi_cos_sin(k, q)
+
+    @pytest.mark.parametrize("n", [0.5, 1e300, True, 2.0])
+    def test_trig_pair_exact(self, n):
+        with pytest.raises(TypeError, match="site must be an integer"):
+            trig_pair_exact(QuarterFraction(1, 3), n)
+
+    @pytest.mark.parametrize("turns", [0.25, 1, float("nan")])
+    def test_fraction_cos_sin_takes_a_fraction(self, turns):
+        with pytest.raises(TypeError, match="must be a Fraction"):
+            fraction_cos_sin(turns)
+
+    def test_numpy_integers_are_read(self):
+        f = QuarterFraction(1, 3)
+        assert half_pi_cos_sin(np.int64(5), np.int32(3)) == half_pi_cos_sin(5, 3)
+        assert trig_pair_exact(f, np.int64(5)) == trig_pair_exact(f, 5)
+
+
 class TestLargestModulus:
     """q <= TRIG_Q_MAX = 2**1022 keeps pi * r / (2.0 * q) finite and normal."""
 

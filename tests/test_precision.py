@@ -90,6 +90,33 @@ class TestRealEnclosure:
         with pytest.raises(ValueError):
             RealEnclosure.from_decimal("0.5", uncertainty_last_place=-1)
 
+    @pytest.mark.parametrize("uncertainty", [float("nan"), 1.0, True])
+    def test_uncertainty_must_be_an_integer(self, uncertainty):
+        # a NaN uncertainty used to give an enclosure with NaN ends
+        with pytest.raises(TypeError, match="uncertainty_last_place must be an integer"):
+            RealEnclosure.from_decimal("0.25", uncertainty)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(float("nan"), float("nan")), (0, float("inf")), (0.25, Fraction(1, 2)), (True, 2)],
+    )
+    def test_ends_must_be_exact(self, lo, hi):
+        # these used to construct and fail later, in certified_digits
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            RealEnclosure(lo, hi)
+
+    @pytest.mark.parametrize("value", [0.1, float("nan"), True])
+    def test_from_fraction_takes_no_float(self, value):
+        # 0.1 used to become the double's binary value, and NaN a ValueError
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            RealEnclosure.from_fraction(value)
+
+    def test_int_ends_are_stored_as_fractions(self):
+        enc = RealEnclosure(0, 1)
+        assert (type(enc.lo), type(enc.hi)) == (Fraction, Fraction)
+        assert enc == RealEnclosure(Fraction(0), Fraction(1))
+        assert enc.certified_digits == 0
+
     def test_to_mpf_reaches_payload_precision(self):
         enc = pi_half(40)
         with mp.workdps(45):
@@ -114,6 +141,12 @@ class TestTrig:
         oc, os = mp_cos_sin("golden", n)
         assert abs(c - oc) <= 2e-16
         assert abs(s - os) <= 2e-16
+
+    @pytest.mark.parametrize("n", [2.5, True, 1.0])
+    def test_site_must_be_an_integer(self, n):
+        # the error bound holds for integer n; 2.5 and True used to give values
+        with pytest.raises(TypeError, match="site must be an integer"):
+            golden_mean().cos_sin_two_pi(n)
 
     def test_site_zero_is_exact(self):
         assert pi_half(40).cos_sin_two_pi(0) == (1.0, 0.0)

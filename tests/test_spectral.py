@@ -14,9 +14,7 @@ from iqwalk import (
     build_matrices,
     butterfly,
     butterfly_fractions,
-    circular_arg_distance,
     eigenvalue_gaps,
-    gauge_check,
     property_report,
     spectrum,
     trig_pair_exact,
@@ -30,8 +28,10 @@ from oracles import (
     EXACT_GAP_3_80,
     all_pairs_eigenvalue_gaps,
     build_trig_loop,
+    circular_arg_distance,
     circular_arg_distance_loop,
     complex_eigenpairs,
+    dense_gauge_residual,
     four_norm_walk_eigenvalues,
     lifted_walk_eigenpairs,
     measured_symmetry_residuals,
@@ -908,7 +908,10 @@ class TestProvenSymmetries:
 class TestGauge:
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (7, 9)])
     def test_parity_gauge_flips_the_operator_exactly(self, p, q):
-        assert gauge_check(QuarterFraction(p, q)) == 0.0
+        # on the dense factors, not the entries the gauge residual reads
+        coin, shift = build_matrices(QuarterFraction(p, q))
+        assert dense_gauge_residual(coin @ shift) == 0.0
+        assert dense_gauge_residual(shift @ coin) == 0.0
 
     @pytest.mark.parametrize("order", ["CW", "WC"])
     def test_residual_equals_the_dense_one_off_the_gauge(self, order):
@@ -923,13 +926,14 @@ class TestGauge:
             wrong = dataclasses.replace(op, frame=dataclasses.replace(op.frame, signs=signs))
             dense = float(np.abs(signs[:, None] * m * signs[None, :] + m).max())
             assert dense > 0.0
-            assert wrong.gauge_residual() == dense, f"index {j}"
+            assert wrong.gauge_residual(wrong.entries()) == dense, f"index {j}"
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (7, 9)])
     def test_report_carries_the_gauge_residual(self, p, q):
-        report = property_report(QuarterFraction(p, q))
-        assert report.gauge_residual == 0.0
-        assert report.gauge_residual == gauge_check(QuarterFraction(p, q))
+        f = QuarterFraction(p, q)
+        report = property_report(f)
+        coin, shift = build_matrices(f)
+        assert report.gauge_residual == dense_gauge_residual(coin @ shift) == 0.0
 
 
 class TestButterfly:

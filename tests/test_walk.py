@@ -18,7 +18,6 @@ from iqwalk import (
     WalkerState,
     adjoint_step,
     golden_mean,
-    reflecting_coin,
     distribution,
     evolve,
     initial_state,
@@ -28,7 +27,7 @@ from iqwalk import (
     support,
 )
 from iqwalk.walk import DEFAULT_SPINOR
-from oracles import adjoint_step_loop, extend_copy_schedule, step_loop
+from oracles import adjoint_step_loop, extend_copy_schedule, reflecting_coin, step_loop
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 # spinor whose component probabilities are exact dyadic floats
