@@ -24,7 +24,6 @@ from .coins import (
     RandomSchedule,
     RotationalSchedule,
     haar_coin,
-    rotation_coin,
     unitarity_defect,
 )
 from .diophantine import (
@@ -118,7 +117,6 @@ __all__ = [
     "RotationalSchedule",
     "RandomSchedule",
     "CustomSchedule",
-    "rotation_coin",
     "haar_coin",
     "unitarity_defect",
     # walk evolution

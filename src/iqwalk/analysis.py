@@ -105,7 +105,7 @@ def barrier_positions(schedule: CoinSchedule, window: tuple[int, int]) -> list[i
 
 
 def _window(window: tuple[int, int]) -> tuple[int, int]:
-    # checked here, not in coin_entries, which runs on every walk step
+    # checked here so the errors name the window; coin_entries checks its ends as sites
     lo, hi = (_integer(end, "window end") for end in window)
     if hi < lo:
         raise ValueError(f"empty window {window}")

@@ -31,16 +31,7 @@ from .analysis import recurrence_series, spread_exponent
 from .coins import CoinSchedule, RandomSchedule, RotationalSchedule
 from .diophantine import DEFAULT_Q_MAX, quarter_approximants
 from .duality import verify_duality
-from .errors import (
-    ConvergenceError,
-    EmptySupportError,
-    IndecisiveError,
-    NoApproximantFoundError,
-    NumericalDriftError,
-    PrecisionExhaustedError,
-    RationalInputError,
-    UsageError,
-)
+from .errors import IQWalkError, NumericalDriftError, RationalInputError, UsageError
 from .exact_trig import TRIG_Q_MAX, QuarterFraction
 from .precision import NAMED_CONSTANTS, RealEnclosure
 from .spectral import butterfly, property_report, spectrum
@@ -496,16 +487,6 @@ def execute(config: RunConfig) -> int:
     return code
 
 
-_NUMERICAL_ERRORS = (
-    NumericalDriftError,
-    ConvergenceError,
-    PrecisionExhaustedError,
-    IndecisiveError,
-    NoApproximantFoundError,
-    EmptySupportError,
-)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -513,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return execute(parse_args(argv))
     except (UsageError, RationalInputError) as exc:
         code, reason = _USAGE_EXIT, exc
-    except _NUMERICAL_ERRORS as exc:
+    except IQWalkError as exc:
         code, reason = _NUMERICAL_EXIT, f"numerical failure: {exc}"
     except OSError as exc:
         code, reason = _USAGE_EXIT, f"cannot write output: {exc}"

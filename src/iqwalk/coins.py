@@ -9,6 +9,10 @@ mpmath trig at payload precision, rounded once, decided a span at a
 time in exact integer arithmetic).  Haar-random coins come from a
 counter-based generator keyed on (seed, site); a schedule builds them a
 whole buffer at a time, bitwise equal to haar_coin.
+
+Each schedule builds its coins in one _fill over the new sites of a cache
+growth; the per-site reference that every fill is tested against is
+tests/oracles.py::per_site_coin.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "RotationalSchedule",
     "RandomSchedule",
     "CustomSchedule",
-    "rotation_coin",
     "unitarity_defect",
     "haar_coin",
 ]
@@ -49,13 +52,6 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     return float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max())
-
-
-def rotation_coin(cos_value: float, sin_value: float) -> np.ndarray:
-    """Real rotation coin [[c, -s], [s, c]]."""
-    return np.array(
-        [[cos_value, -sin_value], [sin_value, cos_value]], dtype=complex
-    )
 
 
 def haar_coin(seed: int, n: int) -> np.ndarray:
@@ -170,8 +166,8 @@ def _haar_batch(seed: int, spans: Iterable[range]) -> np.ndarray:
 
 
 class CoinSchedule:
-    """Base schedule: caches coins per site in a buffer that grows by at least half
-    when outgrown."""
+    """Base schedule: caches the coins that a subclass's _fill builds, in a buffer
+    that grows by at least half when outgrown."""
 
     def __init__(self) -> None:
         # rows (a, b, c, d); column 0 is site _origin, sites _lo.._hi are built
@@ -185,13 +181,9 @@ class CoinSchedule:
         view.flags.writeable = False
         return tuple(view)
 
-    def _build_coin(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
     def _fill(self, spans: tuple[range, range]) -> np.ndarray:
         """Entry rows (4, m) for the sites of spans, in order."""
-        coins = [self._build_coin(n).reshape(4) for span in spans for n in span]
-        return np.array(coins, dtype=complex).reshape(-1, 4).T
+        raise NotImplementedError
 
     def _fills_buffer(self) -> bool:
         """Whether _fill is cheap per site beside its fixed cost, so each
@@ -200,7 +192,6 @@ class CoinSchedule:
 
     def coin_at(self, n: int) -> np.ndarray:
         """2x2 unitary coin at site n (fresh array, safe to mutate)."""
-        n = _integer(n, "site")
         return np.array(self.coin_entries(n, n)).reshape(2, 2)
 
     def coin_entries(
@@ -210,6 +201,7 @@ class CoinSchedule:
 
         Returned arrays are read-only views into the schedule's cache.
         """
+        lo, hi = _integer(lo, "site"), _integer(hi, "site")
         if hi < lo:
             raise ValueError(f"empty site range {lo}..{hi}")
         if not self._lo <= lo <= hi <= self._hi:
@@ -280,10 +272,6 @@ class RotationalSchedule(CoinSchedule):
             return fraction_cos_sin(self.alpha * n)
         return self.alpha.cos_sin_two_pi(n)
 
-    def _build_coin(self, n: int) -> np.ndarray:
-        c, s = self.angle_cos_sin(n)
-        return rotation_coin(c, s)
-
     def _fills_buffer(self) -> bool:
         # gathers cost no trig, and an irrational span a few integer products per site
         return self._table is not None or isinstance(self.alpha, RealEnclosure)
@@ -294,19 +282,22 @@ class RotationalSchedule(CoinSchedule):
         f = self.alpha
         if isinstance(f, RealEnclosure):
             cos, sin = np.concatenate([f.cos_sin_two_pi_span(span) for span in spans], axis=1)
-            return np.array([cos, -sin, sin, cos])
-        quarter = isinstance(f, QuarterFraction)
-        num, period = (f.p, f.modulus) if quarter else (f.numerator, f.denominator)
-        if self._table is None:
-            if self._hi - self._lo + 1 + sum(map(len, spans)) < (f.q if quarter else period):
-                return super()._fill(spans)
-            self._table = quarter_trig_table(f.q) if quarter else np.array(
-                [fraction_cos_sin(Fraction(k, period)) for k in range(period)]
-            ).T
-        cos, sin = self._table
-        sites = np.concatenate([span.start % period + np.arange(len(span)) for span in spans])
-        k = num % period * (sites % period) % period
-        return np.array([cos[k], -sin[k], sin[k], cos[k]])
+        else:
+            quarter = isinstance(f, QuarterFraction)
+            num, period = (f.p, f.modulus) if quarter else (f.numerator, f.denominator)
+            width = self._hi - self._lo + 1 + sum(map(len, spans))
+            if self._table is None and width >= (f.q if quarter else period):
+                self._table = quarter_trig_table(f.q) if quarter else np.array(
+                    [fraction_cos_sin(Fraction(k, period)) for k in range(period)]
+                ).T
+            if self._table is None:
+                pairs = [self.angle_cos_sin(n) for span in spans for n in span]
+                cos, sin = np.array(pairs, dtype=float).reshape(-1, 2).T
+            else:
+                sites = np.concatenate([s.start % period + np.arange(len(s)) for s in spans])
+                k = num % period * (sites % period) % period
+                cos, sin = self._table[0][k], self._table[1][k]
+        return np.array([cos, -sin, sin, cos])
 
 
 class RandomSchedule(CoinSchedule):
@@ -319,9 +310,6 @@ class RandomSchedule(CoinSchedule):
     def __init__(self, seed: int):
         super().__init__()
         self.seed = _integer(seed, "seed")
-
-    def _build_coin(self, n: int) -> np.ndarray:
-        return haar_coin(self.seed, n)
 
     def _fills_buffer(self) -> bool:
         return True  # a batch's cost is mostly its fixed array passes
@@ -351,6 +339,7 @@ class CustomSchedule(CoinSchedule):
                 )
             self._coins[n] = m.copy()
 
-    def _build_coin(self, n: int) -> np.ndarray:
-        coin = self._coins.get(n)
-        return np.eye(2, dtype=complex) if coin is None else coin
+    def _fill(self, spans: tuple[range, range]) -> np.ndarray:
+        identity = np.eye(2, dtype=complex)
+        coins = [self._coins.get(n, identity) for span in spans for n in span]
+        return np.array(coins, dtype=complex).reshape(-1, 4).T

@@ -9,7 +9,9 @@ and step with the textbook coin-then-shift recurrence.
 The numpy references at the end are the plain slow paths that the
 package's fast paths are tested against.  The per-site loops among them
 call the package's scalar trig_pair_exact on purpose: the fast paths
-must reproduce those values bit for bit.
+must reproduce those values bit for bit.  The package builds no coin per
+site; per_site_coin is the per-site reference for every schedule's fill,
+and PerSiteSchedule the base of the tests' own schedules.
 """
 
 from __future__ import annotations
@@ -25,10 +27,17 @@ import numpy as np
 from mpmath import mp
 
 from iqwalk import (
+    CoinSchedule,
+    CustomSchedule,
     LeakageError,
     NumericalDriftError,
+    QuarterFraction,
+    RandomSchedule,
     RingState,
+    RotationalSchedule,
     WalkerState,
+    fraction_cos_sin,
+    haar_coin,
     moment_stats,
     ring_shift,
     spectrum,
@@ -628,15 +637,56 @@ def reflecting_coin(phase: float = 0.0) -> np.ndarray:
     return np.array([[0.0, -u], [np.conj(u), 0.0]], dtype=complex)
 
 
+def rotation_coin(cos_value: float, sin_value: float) -> np.ndarray:
+    """Real rotation coin [[c, -s], [s, c]]."""
+    return np.array(
+        [[cos_value, -sin_value], [sin_value, cos_value]], dtype=complex
+    )
+
+
+def per_site_coin(schedule, n) -> np.ndarray:
+    """The 2x2 coin of schedule at site n, built from its public state alone.
+
+    The per-site reference for every schedule's _fill: exact residue trig
+    for p/(4q), exact quadrant trig for a/b, the enclosure's mpmath trig,
+    haar_coin, or the custom mapping with the identity where a site is
+    missing.  It does not call angle_cos_sin, which the rotational fill
+    itself calls per site while the cache is narrower than the period.
+    """
+    if isinstance(schedule, RotationalSchedule):
+        alpha = schedule.alpha
+        if isinstance(alpha, QuarterFraction):
+            return rotation_coin(*trig_pair_exact(alpha, n))
+        if isinstance(alpha, Fraction):
+            return rotation_coin(*fraction_cos_sin(alpha * n))
+        return rotation_coin(*alpha.cos_sin_two_pi(n))
+    if isinstance(schedule, RandomSchedule):
+        return haar_coin(schedule.seed, n)
+    if isinstance(schedule, CustomSchedule):
+        return schedule._coins.get(n, np.eye(2, dtype=complex))
+    return schedule.site_coin(n)
+
+
+class PerSiteSchedule(CoinSchedule):
+    """A schedule of the tests that fills its cache with one site_coin(n) per site."""
+
+    def site_coin(self, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _fill(self, spans):
+        coins = [self.site_coin(n).reshape(4) for span in spans for n in span]
+        return np.array(coins, dtype=complex).reshape(-1, 4).T
+
+
 class _ExtendCopySchedule:
     """Coins of a schedule served by a cache copied whole on every growth.
 
-    Rows (a, b, c, d) per site, filled with one _build_coin call per new
-    site; the reference for CoinSchedule's amortised buffer and table fill.
+    Rows (a, b, c, d) per site, filled with one per_site_coin call per new
+    site; the reference for CoinSchedule's amortised buffer and its fills.
     """
 
     def __init__(self, schedule):
-        self._build_coin = schedule._build_coin
+        self._schedule = schedule
         self._lo = 0
         self._entries = np.zeros((0, 4), dtype=complex)
 
@@ -658,16 +708,16 @@ class _ExtendCopySchedule:
         if n_cached:
             grown[cur_lo - new_lo : cur_lo - new_lo + n_cached] = self._entries
         for n in range(new_lo, cur_lo if n_cached else new_hi + 1):
-            grown[n - new_lo] = self._build_coin(n).reshape(4)
+            grown[n - new_lo] = per_site_coin(self._schedule, n).reshape(4)
         if n_cached:
             for n in range(cur_hi + 1, new_hi + 1):
-                grown[n - new_lo] = self._build_coin(n).reshape(4)
+                grown[n - new_lo] = per_site_coin(self._schedule, n).reshape(4)
         self._lo = new_lo
         self._entries = grown
 
 
 def extend_copy_schedule(schedule):
-    """A fresh copying cache over `schedule`'s per-site _build_coin."""
+    """A fresh copying cache over `schedule`'s per-site coins (per_site_coin)."""
     return _ExtendCopySchedule(schedule)
 
 

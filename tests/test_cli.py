@@ -16,8 +16,10 @@ import iqwalk.spectral as spectral
 from iqwalk import (
     ConvergenceError,
     DualityResiduals,
+    IQWalkError,
     QuarterFraction,
     RandomSchedule,
+    RationalInputError,
     RealEnclosure,
     UsageError,
     distribution,
@@ -583,6 +585,21 @@ class TestPropertiesCommand:
         code, _, err = run(["properties", "--alpha", "1/4"], capsys)
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "error",
+        sorted(set(IQWalkError.__subclasses__()) - {UsageError, RationalInputError}, key=str),
+        ids=lambda error: error.__name__,
+    )
+    def test_every_package_error_exits_two(self, capsys, monkeypatch, error):
+        # none of them may end in a traceback, LeakageError included
+        def explode(f):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(cli, "property_report", explode)
+        code, out, err = run(["properties", "--alpha", "1/4"], capsys)
+        assert code == 2 and out == ""
+        assert err == "iqwalk: numerical failure: synthetic failure\n"
 
 
 class TestRecurrenceCommand:

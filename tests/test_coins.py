@@ -9,7 +9,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from iqwalk import (
-    CoinSchedule,
     CustomSchedule,
     QuarterFraction,
     RandomSchedule,
@@ -19,16 +18,29 @@ from iqwalk import (
     fraction_cos_sin,
     golden_mean,
     haar_coin,
+    initial_state,
     pi_half,
-    rotation_coin,
+    step,
     trig_pair_exact,
     unitarity_defect,
 )
 from iqwalk import coins, exact_trig
 from iqwalk.walk import DEFAULT_SPINOR
-from oracles import reflecting_coin
+from oracles import PerSiteSchedule, reflecting_coin, rotation_coin
 
 UNIT = 1e-12
+
+
+def assert_sites_rejected(schedule, n):
+    # coin_entries(True, True) used to return site 1's coin, where coin_at(True) raised
+    for call, args in [
+        (schedule.coin_at, (n,)),
+        (schedule.coin_entries, (n, n)),
+        (schedule.coin_entries, (n, 3)),
+        (schedule.coin_entries, (-3, n)),
+    ]:
+        with pytest.raises(TypeError, match="site must be an integer"):
+            call(*args)
 
 
 class TestElementaryCoins:
@@ -76,6 +88,10 @@ class TestHaarCoins:
     def test_free_function_rejects_non_integer_keys(self, seed, n):
         with pytest.raises(TypeError, match="must be an integer"):
             haar_coin(seed, n)
+
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5])
+    def test_site_must_be_an_integer(self, n):
+        assert_sites_rejected(RandomSchedule(7), n)
 
     def test_integer_like_seeds_are_accepted(self):
         schedule = RandomSchedule(np.int64(7))
@@ -184,9 +200,8 @@ class TestRotationalSchedule:
         # coin_at(True) used to build site 1, and an enclosure's angle took 2.5
         schedule = RotationalSchedule(alpha)
         with pytest.raises(TypeError, match="site must be an integer"):
-            schedule.coin_at(n)
-        with pytest.raises(TypeError, match="site must be an integer"):
             schedule.angle_cos_sin(n)
+        assert_sites_rejected(schedule, n)
 
     def test_irrational_matches_enclosure_trig(self):
         enc = pi_half(40)
@@ -292,6 +307,10 @@ class TestCustomSchedule:
         with pytest.raises(TypeError, match="site must be an integer"):
             CustomSchedule({site: reflecting_coin()})
 
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5])
+    def test_site_must_be_an_integer(self, n):
+        assert_sites_rejected(CustomSchedule({1: reflecting_coin()}), n)
+
     def test_numpy_integer_sites_are_plain_sites(self):
         barrier = reflecting_coin()
         schedule = CustomSchedule({np.int64(-3): barrier, np.int32(2): barrier})
@@ -300,7 +319,7 @@ class TestCustomSchedule:
         assert np.array_equal(schedule.coin_entries(-3, 2)[0], [0, 1, 1, 1, 1, 0])
 
 
-class CountingSchedule(CoinSchedule):
+class CountingSchedule(PerSiteSchedule):
     """Per-site Haar coins that count coin builds per site and cache reallocations."""
 
     def __init__(self, seed):
@@ -310,7 +329,7 @@ class CountingSchedule(CoinSchedule):
         self.reallocations = 0
         self._last = None
 
-    def _build_coin(self, n):
+    def site_coin(self, n):
         self.built[n] += 1
         return haar_coin(self.seed, n)
 
@@ -349,6 +368,39 @@ class TestAmortisedCache:
         assert lo <= -(steps - 1) and hi >= steps - 1
         assert built == Counter(range(lo, hi + 1))
         assert 1 <= len(fills) <= math.log2(steps) + 2
+
+    @pytest.mark.parametrize("family", ["haar", "irrational"])
+    @pytest.mark.parametrize("scan", ["step", "coin_at"])
+    def test_each_reallocation_fills_the_whole_buffer(self, monkeypatch, family, scan):
+        # each step widens the window by two sites and each coin_at by one, so a
+        # fill per request instead of per reallocation would make about a thousand
+        calls = []
+        if family == "haar":
+            schedule, per_fill, real = RandomSchedule(5), 1, coins._haar_batch
+            monkeypatch.setattr(
+                coins, "_haar_batch", lambda *args: calls.append(args) or real(*args)
+            )
+        else:
+            schedule, per_fill = RotationalSchedule(golden_mean(40)), 2  # one call per span
+            real = RealEnclosure.cos_sin_two_pi_span
+            monkeypatch.setattr(
+                RealEnclosure,
+                "cos_sin_two_pi_span",
+                lambda *args: calls.append(args) or real(*args),
+            )
+        # 1000 steps or 2000 sites: a window of at most 2001 sites either way
+        sites = range(1000) if scan == "step" else range(-1000, 1000)
+        state, reallocations, buffer = initial_state(), 0, schedule._buffer
+        for n in sites:
+            if scan == "step":
+                state = step(state, schedule)
+            else:
+                schedule.coin_at(n)
+            if schedule._buffer is not buffer:
+                reallocations, buffer = reallocations + 1, schedule._buffer
+        assert 0 < len(calls) <= per_fill * reallocations
+        # the buffer grows by at least half each time past its first few sites
+        assert reallocations <= math.log(2001, 1.5) + 5
 
     def test_windows_are_read_only(self):
         schedule = RotationalSchedule(Fraction(2, 7))

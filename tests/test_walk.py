@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqwalk import (
-    CoinSchedule,
     CustomSchedule,
     EmptySupportError,
     NumericalDriftError,
@@ -27,7 +26,13 @@ from iqwalk import (
     support,
 )
 from iqwalk.walk import DEFAULT_SPINOR
-from oracles import adjoint_step_loop, extend_copy_schedule, reflecting_coin, step_loop
+from oracles import (
+    PerSiteSchedule,
+    adjoint_step_loop,
+    extend_copy_schedule,
+    reflecting_coin,
+    step_loop,
+)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 # spinor whose component probabilities are exact dyadic floats
@@ -218,8 +223,8 @@ class TestParityAndNorm:
             evolve(DEFAULT_SPINOR, schedule, 2100)
 
     def test_nan_amplitudes_trip_the_drift_check(self):
-        class NanSchedule(CoinSchedule):
-            def _build_coin(self, n):
+        class NanSchedule(PerSiteSchedule):
+            def site_coin(self, n):
                 return np.full((2, 2), np.nan, dtype=complex)
 
         with pytest.raises(NumericalDriftError, match="nan"):
@@ -336,6 +341,11 @@ DIFFERENTIAL_SCHEDULES = {
     "golden": lambda: RotationalSchedule(golden_mean(40)),
     "haar-17": lambda: RandomSchedule(17),
     "haar-2^63+5": lambda: RandomSchedule(2**63 + 5),
+    # periods wider than any fetch: per-site angle_cos_sin, no table, on every fill
+    "1/(4*10^9)": lambda: RotationalSchedule(QuarterFraction(1, 10**9)),
+    "1/1000003": lambda: RotationalSchedule(Fraction(1, 1000003)),
+    # q = 50: per-site fills until the cache is 50 wide, then the table
+    "1/200": lambda: RotationalSchedule(QuarterFraction(1, 50)),
     # reflecting coins at 3 and -2 confine the walk, so every step trims
     "reflect": lambda: CustomSchedule({3: reflecting_coin(), -2: reflecting_coin(0.4)}),
 }
@@ -371,10 +381,10 @@ class TestAgainstStepLoop:
         assert_sublattice_equal(fast, slow)
 
 
-class _Stretched(CoinSchedule):
+class _Stretched(PerSiteSchedule):
     """(1 + 1e-10) times the identity at every site: the norm grows each step."""
 
-    def _build_coin(self, n):
+    def site_coin(self, n):
         return (1.0 + 1e-10) * np.eye(2, dtype=complex)
 
 
